@@ -15,9 +15,6 @@ from .analyzers import (
     PHOTON_LOST,
     analyze,
     click_pair,
-    dqz_analyze,
-    ifm_analyze,
-    qz_analyze,
     qz_ancilla_survival,
     qz_collapsed_state,
     semi_counterfactual_stats,
@@ -32,7 +29,6 @@ from .core import (
     apply_operator,
     hadamard,
     measure,
-    sample,
     shot_stream,
     tensor,
 )

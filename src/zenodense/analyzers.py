@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import ALL_BELL_STATES, BellState
 from .core import OutcomeDistribution, PureState, hadamard
-from .ifm import AbsorberState
-from .optics import CycleAngle, beam_splitter
+from .ifm import AbsorberState, blocked_survival
+from .optics import CycleAngle, beam_splitter, cycle_counts
 from .zeno import cycle_survival, dqz_apply
 
 ELECTRON_DETECTORS = ("D1", "D2")
@@ -93,35 +94,28 @@ PHOTON_LOST = AnalyzerOutcome.lost()
 
 
 # ---------------------------------------------------------------------------
-# survival probabilities (closed forms; the element-level sims are the oracles)
+# survival laws (closed forms over a cycle count or an array of them; the
+# element-level sims are the oracles)
 
 
-def qz_ancilla_survival(n_cycles: int) -> float:
+def _channel_stage(n_cycles):
+    """P^N with P = 1 - sin^2(theta_N)/2: N dual-Zeno channel cycles, any Bell input."""
+    return cycle_survival(n_cycles) ** n_cycles
+
+
+def qz_ancilla_survival(n_cycles):
     """(1 - 3 sin^2(phi_N)/4)^N; the gate blocks with weight 3/4 each cycle.
 
     N = 1 is degenerate: sin(pi) = 0 makes the formula vacuously 1.
     """
-    angles = CycleAngle(n_cycles)
-    return float((1.0 - 0.75 * np.sin(angles.phi) ** 2) ** n_cycles)
+    n = cycle_counts(n_cycles)
+    return (1.0 - 0.75 * np.sin(np.pi / n) ** 2) ** n
 
 
 def ifm_family_survival(bell: BellState, n_cycles: int) -> float:
     """First-stage survival of the IFM analyzer: cos^{2N} theta_N for the
     Phi family (both branches frozen), 1 for Psi (both branches fly free)."""
-    if bell.family == "phi":
-        angles = CycleAngle(n_cycles)
-        return float(np.cos(angles.theta) ** (2 * n_cycles))
-    return 1.0
-
-
-def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
-    """Probability that the analyzer run ends in detector clicks, per Bell input."""
-    kind = AnalyzerKind(kind)
-    if kind is AnalyzerKind.DQZ:
-        return cycle_survival(n_cycles) ** n_cycles
-    if kind is AnalyzerKind.QZ:
-        return qz_ancilla_survival(n_cycles)
-    return ifm_family_survival(bell, n_cycles) * cycle_survival(n_cycles) ** n_cycles
+    return float(blocked_survival(n_cycles)) if bell.family == "phi" else 1.0
 
 
 def qz_is_degenerate(n_cycles: int) -> bool:
@@ -157,26 +151,6 @@ def _dqz_pair_from_channel(bell: BellState, n_cycles: int, m: int) -> DetectorPa
     electron = "D2" if top < 2 else "D1"
     polarization = "H" if top % 2 == 0 else "V"
     return DetectorPair(electron, _PHOTON_DETECTOR[(polarization, m)])
-
-
-def dqz_analyze(bell: BellState, n_cycles: int, m: int = 0) -> OutcomeDistribution:
-    """Dual-Zeno Bell analysis: polarization splits the family, the electron
-    Hadamard plus path measurement splits the sign.
-
-    With probability P^N the photon survives and the pair identifies the
-    state with certainty; otherwise the photon is lost. The surviving click
-    is listed first (samplers rely on the order).
-    """
-    if m not in (0, 1):
-        raise ValueError("m must be 0 or 1")
-    p = survival_probability(AnalyzerKind.DQZ, bell, n_cycles)
-    pair = _dqz_pair_from_channel(bell, n_cycles, m)
-    # Surviving runs keep the block/pass balance, so the photon stayed out of
-    # the channel with probability 1/2.
-    return OutcomeDistribution([
-        (AnalyzerOutcome.detected(pair, 0.5), p),
-        (PHOTON_LOST, 1.0 - p),
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +204,14 @@ def ifm_stage1_evolve(bell: BellState, n_cycles: int) -> tuple[PureState, float]
     return state, state.norm_squared()
 
 
-def _ifm_click_pair(bell: BellState) -> DetectorPair:
-    electron = "D2" if bell.sign > 0 else "D1"
-    photon = "D4" if bell.family == "phi" else "D3"
-    return DetectorPair(electron, photon)
-
-
-def ifm_analyze(bell: BellState, n_cycles: int) -> OutcomeDistribution:
-    """IFM-chain Bell analysis.
-
-    Stage one freezes the Phi branches (survival cos^{2N} theta_N) and walks
-    the Psi photon to the D3 side; stage two resolves the sign through the
-    electron Hadamard at the per-cycle Bell survival cost. Averaged over a
-    uniform Bell mixture the total survival is
-    (cos^{2N} theta_N + 1)/2 * (1 - sin^2(theta_N)/2)^N.
-    """
-    p = survival_probability(AnalyzerKind.IFM, bell, n_cycles)
-    # Phi branches never cross into the electron's chain; Psi branches do.
-    weight = 1.0 if bell.family == "phi" else 0.0
-    return OutcomeDistribution([
-        (AnalyzerOutcome.detected(_ifm_click_pair(bell), weight), p),
-        (PHOTON_LOST, 1.0 - p),
-    ])
+# Stage one sends the Psi photon to D3 and freezes Phi at D4; the electron
+# Hadamard puts the plus sign on D2.
+_IFM_PAIRS = {
+    BellState.PHI_PLUS: DetectorPair("D2", "D4"),
+    BellState.PHI_MINUS: DetectorPair("D1", "D4"),
+    BellState.PSI_PLUS: DetectorPair("D2", "D3"),
+    BellState.PSI_MINUS: DetectorPair("D1", "D3"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -274,53 +234,105 @@ def qz_collapsed_state(bell: BellState) -> PureState:
                      [1 / sq3, second / sq3, bell.sign / sq3, 0.0])
 
 
-def _qz_click_pair(bell: BellState) -> DetectorPair:
-    electron = "D2" if bell.sign > 0 else "D1"
-    photon = "D3" if bell.family == "phi" else "D4"
-    return DetectorPair(electron, photon)
-
-
-def qz_analyze(bell: BellState, n_cycles: int) -> OutcomeDistribution:
-    """Single-QZ Bell analysis with an ancillary H photon.
-
-    The ancilla cycles through the gate with both entangled particles acting
-    as absorbers; it survives all N cycles with probability
-    (1 - 3 sin^2(phi_N)/4)^N, in which case the four Bell states are
-    identified with certainty. On absorption the pair collapses to the
-    non-orthogonal states of qz_collapsed_state and the run is lost.
-    N = 1 is degenerate (sin(pi) = 0 makes survival vacuously 1).
-    """
-    p = survival_probability(AnalyzerKind.QZ, bell, n_cycles)
-    # The gate blocks in three of the four equal-weight branches.
-    return OutcomeDistribution([
-        (AnalyzerOutcome.detected(_qz_click_pair(bell), 0.75), p),
-        (PHOTON_LOST, 1.0 - p),
-    ])
+# Canonical m = 0 pairs: the ancilla's record resolves the family (Phi on
+# D3), the electron Hadamard the sign.
+_QZ_PAIRS = {
+    BellState.PHI_PLUS: DetectorPair("D2", "D3"),
+    BellState.PHI_MINUS: DetectorPair("D1", "D3"),
+    BellState.PSI_PLUS: DetectorPair("D2", "D4"),
+    BellState.PSI_MINUS: DetectorPair("D1", "D4"),
+}
 
 
 # ---------------------------------------------------------------------------
-# dispatch and counterfactual accounting
+# the analyzer table
+
+
+@dataclass(frozen=True)
+class AnalyzerSpec:
+    """Everything that tells one analyzer from the others.
+
+    `stage` is the family-independent survival law over N (a cycle count or
+    an array of them) and `phi_factor`, when present, the extra survival of
+    Phi-family inputs. `pair(bell, n_cycles, m)` is the click pair of a
+    surviving run, `weight` the counterfactual weight of a surviving run per
+    Bell family, and `splitters_per_cycle` and `ancilla` the hardware cost.
+    """
+
+    stage: Callable
+    phi_factor: Callable | None
+    pair: Callable[[BellState, int, int], DetectorPair]
+    weight: Mapping[str, float]
+    splitters_per_cycle: int
+    ancilla: bool
+
+
+ANALYZERS = {
+    # Dual Zeno: polarization splits the family, the electron Hadamard plus
+    # path measurement the sign. Surviving runs keep the block/pass balance,
+    # so the photon stayed out of the channel with probability 1/2.
+    AnalyzerKind.DQZ: AnalyzerSpec(
+        stage=_channel_stage, phi_factor=None, pair=_dqz_pair_from_channel,
+        weight={"phi": 0.5, "psi": 0.5}, splitters_per_cycle=2, ancilla=False),
+    # IFM chain: stage one freezes the Phi branches (cos^{2N} theta_N) and
+    # walks the Psi photon to D3; stage two resolves the sign through the
+    # electron Hadamard at the channel cost P^N. Phi branches never cross
+    # into the electron's chain; Psi branches do.
+    AnalyzerKind.IFM: AnalyzerSpec(
+        stage=_channel_stage, phi_factor=blocked_survival,
+        pair=lambda bell, n_cycles, m: _IFM_PAIRS[bell],
+        weight={"phi": 1.0, "psi": 0.0}, splitters_per_cycle=4, ancilla=False),
+    # Single QZ: an ancillary H photon cycles through the gate with both
+    # entangled particles as absorbers. If it survives all N cycles the four
+    # Bell states are identified with certainty; on absorption the pair
+    # collapses to the non-orthogonal qz_collapsed_state results and the run
+    # is lost. The gate blocks in three of the four equal-weight branches.
+    AnalyzerKind.QZ: AnalyzerSpec(
+        stage=qz_ancilla_survival, phi_factor=None,
+        pair=lambda bell, n_cycles, m: _QZ_PAIRS[bell],
+        weight={"phi": 0.75, "psi": 0.75}, splitters_per_cycle=1, ancilla=True),
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
+    """Probability that the analyzer run ends in detector clicks, per Bell input.
+
+    Evaluates the table's law on a float array exactly as the analytic
+    curves in `metrics` do, so Monte-Carlo thresholds and R_analytic agree
+    bit for bit. Cached: per-shot runs ask for the same few (kind, Bell, N)
+    again and again.
+    """
+    spec = ANALYZERS[AnalyzerKind(kind)]
+    n = np.asarray(n_cycles, dtype=float)
+    p = spec.stage(n)
+    if spec.phi_factor is not None and bell.family == "phi":
+        p = spec.phi_factor(n) * p
+    return float(p)
 
 
 def analyze(kind: AnalyzerKind, bell: BellState, n_cycles: int, m: int = 0) -> OutcomeDistribution:
-    kind = AnalyzerKind(kind)
-    if kind is AnalyzerKind.DQZ:
-        return dqz_analyze(bell, n_cycles, m)
-    if kind is AnalyzerKind.IFM:
-        return ifm_analyze(bell, n_cycles)
-    return qz_analyze(bell, n_cycles)
+    """Bell analysis of one run.
+
+    With probability survival_probability the photon survives and the click
+    pair identifies the state with certainty; otherwise the photon is lost.
+    The surviving click is listed first (samplers rely on the order).
+    """
+    if m not in (0, 1):
+        raise ValueError("m must be 0 or 1")
+    spec = ANALYZERS[AnalyzerKind(kind)]
+    p = survival_probability(kind, bell, n_cycles)
+    detected = AnalyzerOutcome.detected(spec.pair(bell, n_cycles, m), spec.weight[bell.family])
+    return OutcomeDistribution([(detected, p), (PHOTON_LOST, 1.0 - p)])
 
 
 def click_pair(kind: AnalyzerKind, bell: BellState, m: int = 0) -> DetectorPair:
-    """The deterministic click pair a surviving run produces."""
-    kind = AnalyzerKind(kind)
-    if kind is AnalyzerKind.DQZ:
-        # The N-cycle operator is an exact quarter turn for every N, so the
-        # pair is N-independent; any N gives the same measurement.
-        return _dqz_pair_from_channel(bell, 2, m)
-    if kind is AnalyzerKind.IFM:
-        return _ifm_click_pair(bell)
-    return _qz_click_pair(bell)
+    """The deterministic click pair a surviving run produces.
+
+    The dual-Zeno N-cycle operator is an exact quarter turn for every N, so
+    every pair is N-independent; any N gives the same measurement.
+    """
+    return ANALYZERS[AnalyzerKind(kind)].pair(bell, 2, m)
 
 
 def semi_counterfactual_stats(source: BellState | AbsorberState, n_cycles: int = 1) -> float:
@@ -340,24 +352,19 @@ def semi_counterfactual_stats(source: BellState | AbsorberState, n_cycles: int =
     raise TypeError(f"expected BellState or AbsorberState, got {type(source).__name__}")
 
 
-def all_analyzers() -> tuple[AnalyzerKind, ...]:
-    return (AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ)
-
-
 __all__ = [
     "ALL_BELL_STATES",
+    "ANALYZERS",
     "AnalyzerKind",
     "AnalyzerOutcome",
+    "AnalyzerSpec",
     "BellState",
     "DetectorPair",
     "PHOTON_LOST",
     "analyze",
     "click_pair",
-    "dqz_analyze",
-    "ifm_analyze",
     "ifm_bell_input",
     "ifm_stage1_evolve",
-    "qz_analyze",
     "qz_ancilla_survival",
     "qz_collapsed_state",
     "qz_is_degenerate",

@@ -1,16 +1,17 @@
 """Command-line front end: parameter sweeps, Monte-Carlo runs, analyzer comparison, self-test.
 
 Subcommands:
-    sweep    analytic (and optionally Monte-Carlo) throughput per cycle count, CSV/JSON
+    sweep    analytic (and optionally Monte-Carlo) throughput per cycle count
+             (N <= 10^6), CSV/JSON
     run      one Monte-Carlo session, JSON record on stdout
     compare  minimal cycle counts and resource needs to hit a target throughput
     selftest run the invariant suite; exit 0 iff everything passes
 
 Exit codes: 0 success, 1 self-test failure, 2 argument error, 3 I/O error.
-All randomness flows from --seed; SDC_THREADS (positive integer) caps shot
-parallelism without changing a single drawn number. CSV uses the fixed header
-N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high with at least six
-significant digits and bare \n newlines.
+All randomness flows from --seed; SDC_THREADS (positive integer, capped at
+the CPU count) sets shot parallelism without changing a single drawn number.
+CSV uses the fixed header N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high
+with at least six significant digits and bare \n newlines.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-ANALYZER_ORDER = (AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ)
 CSV_HEADER = ["N", "analyzer", "R_analytic", "R_mc", "mc_shots", "ci95_low", "ci95_high"]
 
 
@@ -61,7 +61,7 @@ class RunConfig:
 
 def _parse_analyzers(name: str) -> list[AnalyzerKind]:
     if name == "all":
-        return list(ANALYZER_ORDER)
+        return list(AnalyzerKind)
     return [AnalyzerKind(name)]
 
 
@@ -79,7 +79,7 @@ def _warn_degenerate(rows) -> None:
 
 def _sweep_stream_tag(analyzer: AnalyzerKind, n_cycles: int) -> int:
     # One RNG stream per sweep row, all derived from the single --seed.
-    return ANALYZER_ORDER.index(analyzer) * (1 << 32) + n_cycles
+    return tuple(AnalyzerKind).index(analyzer) * (1 << 32) + n_cycles
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -156,7 +156,7 @@ def cmd_run(analyzer: AnalyzerKind, n_cycles: int, shots: int, seed: int,
 def cmd_compare(target_r: float, fmt: str, out: str | None) -> int:
     rows = []
     # Table order: qz, ifm, dqz.
-    for kind in reversed(ANALYZER_ORDER):
+    for kind in reversed(AnalyzerKind):
         minimal = metrics.min_n_for_target(kind, target_r)
         splitters, ancilla = metrics.resource_counts(kind, minimal)
         rows.append({
@@ -240,7 +240,7 @@ def _check_bell_targets(channels) -> str | None:
 
 def _check_analytic_vs_mc() -> str | None:
     shots = 100_000
-    for kind in ANALYZER_ORDER:
+    for kind in AnalyzerKind:
         expected = metrics.r_analytic(kind, 12)
         estimate = protocol.simulate(kind, 12, shots, master_seed=42)
         sigma = np.sqrt(max(expected * (2.0 - expected), 1e-12) / shots)
@@ -279,13 +279,14 @@ def _check_golden_thresholds() -> str | None:
 
 
 def _check_decode_roundtrip() -> str | None:
-    for kind in ANALYZER_ORDER:
+    for kind in AnalyzerKind:
         for message in protocol.MESSAGES:
             bell = protocol.encode(message)
-            pair = click_pair(kind, bell)
-            decoded_bell, decoded = protocol.decode(pair, kind)
-            if decoded != message or decoded_bell is not bell:
-                return f"{kind.value}: {message} -> {pair} -> {decoded}"
+            for m in (0, 1):
+                pair = click_pair(kind, bell, m)
+                decoded_bell, decoded = protocol.decode(pair, kind)
+                if decoded != message or decoded_bell is not bell:
+                    return f"{kind.value} m={m}: {message} -> {pair} -> {decoded}"
     return None
 
 
@@ -340,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="throughput as a function of the cycle count")
-    p_sweep.add_argument("--analyzer", choices=("dqz", "ifm", "qz", "all"), required=True)
+    kinds = tuple(kind.value for kind in AnalyzerKind)
+    p_sweep.add_argument("--analyzer", choices=kinds + ("all",), required=True)
     p_sweep.add_argument("--n-min", type=int, required=True)
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--shots", type=int, default=None,
@@ -348,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
 
     p_run = sub.add_parser("run", help="one Monte-Carlo session, JSON record")
-    p_run.add_argument("--analyzer", choices=("dqz", "ifm", "qz"), required=True)
+    p_run.add_argument("--analyzer", choices=kinds, required=True)
     p_run.add_argument("--n", type=int, required=True)
     p_run.add_argument("--shots", type=int, required=True)
     p_run.add_argument("--seed", type=int, default=0)
@@ -372,8 +374,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sweep":
-            if args.n_min < 1 or args.n_max < args.n_min:
-                parser.error("need 1 <= --n-min <= --n-max")
+            if not 1 <= args.n_min <= args.n_max <= metrics.MAX_CURVE_CYCLES:
+                parser.error(f"need 1 <= --n-min <= --n-max <= {metrics.MAX_CURVE_CYCLES}")
             if args.shots is not None and args.shots < 1:
                 parser.error("--shots must be >= 1")
             if not 0 <= args.seed < 2**64:

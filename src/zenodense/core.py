@@ -148,12 +148,6 @@ class Operator:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    def compose(self, other: "Operator") -> "Operator":
-        """self applied after other (matrix product self @ other)."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in composition")
-        return Operator(self.matrix @ other.matrix, self.labels or other.labels)
-
     def power(self, exponent: int) -> "Operator":
         return Operator(np.linalg.matrix_power(self.matrix, exponent), self.labels)
 
@@ -329,11 +323,6 @@ def measure(state: PureState, partition: Mapping[Any, Sequence[str]]) -> Outcome
         (outcome, float(sum(probs[index[label]] for label in group)))
         for outcome, group in partition.items()
     )
-
-
-def sample(dist: OutcomeDistribution, rng: np.random.Generator):
-    """Draw one outcome; see OutcomeDistribution.sample for the contract."""
-    return dist.sample(rng)
 
 
 # ---------------------------------------------------------------------------

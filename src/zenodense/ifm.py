@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OutcomeDistribution, PureState
-from .optics import PATH_LABELS, CycleAngle, beam_splitter
+from .optics import PATH_LABELS, CycleAngle, beam_splitter, cycle_counts
 
 PHOTON_IN_A, PHOTON_IN_B, ABSORBED = "photon_in_a", "photon_in_b", "absorbed"
 
@@ -69,10 +69,13 @@ class AbsorberState:
                 f"block={self.block_amplitude:.4g})")
 
 
-def blocked_survival(n_cycles: int) -> float:
-    """Closed-form survival cos^{2N}(pi/2N) of the blocked chain."""
-    angles = CycleAngle(n_cycles)
-    return float(np.cos(angles.theta) ** (2 * n_cycles))
+def blocked_survival(n_cycles):
+    """Closed-form survival cos^{2N}(pi/2N) of the blocked chain.
+
+    Takes a cycle count or an array of them.
+    """
+    n = cycle_counts(n_cycles)
+    return np.cos(np.pi / (2.0 * n)) ** (2 * n)
 
 
 def blocked_survival_sim(n_cycles: int) -> float:

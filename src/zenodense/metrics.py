@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzers import AnalyzerKind
+from .analyzers import ANALYZERS, AnalyzerKind
 
 # Best laboratory throughput to date (hyperentanglement-assisted analysis),
 # used purely as a numeric benchmark threshold.
@@ -28,23 +28,14 @@ EXPERIMENTAL_BENCHMARK_R = 1.665
 MAX_CURVE_CYCLES = 10**6
 
 
-def _as_cycles(n_cycles) -> np.ndarray:
-    n = np.asarray(n_cycles, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("cycle counts must be >= 1")
-    return n
-
-
 def _survival_array(analyzer: AnalyzerKind, n_cycles) -> np.ndarray:
-    n = _as_cycles(n_cycles)
-    theta = np.pi / (2.0 * n)
-    if analyzer is AnalyzerKind.DQZ:
-        return (1.0 - 0.5 * np.sin(theta) ** 2) ** n
-    if analyzer is AnalyzerKind.QZ:
-        phi = np.pi / n
-        return (1.0 - 0.75 * np.sin(phi) ** 2) ** n
-    p_avg = 0.5 * (np.cos(theta) ** (2 * n) + 1.0)
-    return p_avg * (1.0 - 0.5 * np.sin(theta) ** 2) ** n
+    # Uniform Bell mixture: the Phi-family factor applies to half the inputs.
+    spec = ANALYZERS[analyzer]
+    n = np.asarray(n_cycles, dtype=float)
+    stage = spec.stage(n)
+    if spec.phi_factor is None:
+        return stage
+    return 0.5 * (spec.phi_factor(n) + 1.0) * stage
 
 
 def _r_array(analyzer: AnalyzerKind, n_cycles) -> np.ndarray:
@@ -125,11 +116,7 @@ def min_n_for_target(analyzer: AnalyzerKind, target_r: float) -> int:
 
 def resource_counts(analyzer: AnalyzerKind, n_cycles: int) -> tuple[int, bool]:
     """(beam splitters required, needs an ancillary particle) at N cycles."""
-    analyzer = AnalyzerKind(analyzer)
+    spec = ANALYZERS[AnalyzerKind(analyzer)]
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    if analyzer is AnalyzerKind.QZ:
-        return n_cycles, True
-    if analyzer is AnalyzerKind.IFM:
-        return 4 * n_cycles, False
-    return 2 * n_cycles, False
+    return spec.splitters_per_cycle * n_cycles, spec.ancilla

@@ -42,6 +42,14 @@ class CycleAngle:
         return np.pi / self.n_cycles
 
 
+def cycle_counts(n_cycles) -> np.ndarray:
+    """A cycle count, or an array of them, as floats for the vectorized closed forms."""
+    n = np.asarray(n_cycles, dtype=float)
+    if n.min() < 1:
+        raise ValueError("cycle counts must be >= 1")
+    return n
+
+
 def _check_angle(theta: float) -> float:
     theta = float(theta)
     if not 0.0 < theta <= np.pi / 2.0 + 1e-15:

@@ -29,7 +29,7 @@ from .analyzers import (
     click_pair,
     survival_probability,
 )
-from .core import sample, shot_stream, shot_uniforms
+from .core import shot_stream, shot_uniforms
 
 MESSAGES = ("00", "01", "10", "11")
 
@@ -82,11 +82,8 @@ def encode(message: str) -> BellState:
 def _decode_table(analyzer: AnalyzerKind) -> dict[DetectorPair, BellState]:
     table: dict[DetectorPair, BellState] = {}
     for bell in _MESSAGE_TO_BELL.values():
-        if analyzer is AnalyzerKind.DQZ:
-            for m in (0, 1):
-                table[click_pair(analyzer, bell, m)] = bell
-        else:
-            table[click_pair(analyzer, bell)] = bell
+        for m in (0, 1):
+            table[click_pair(analyzer, bell, m)] = bell
     return table
 
 
@@ -164,7 +161,7 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
     if message == "uniform":
         message = MESSAGES[min(int(u_message * 4), 3)]
     bell = encode(message)
-    outcome: AnalyzerOutcome = sample(analyze(analyzer, bell, n_cycles, m), rng)
+    outcome: AnalyzerOutcome = analyze(analyzer, bell, n_cycles, m).sample(rng)
     if outcome.photon_lost:
         return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
                           master_seed, shot_index)
@@ -174,6 +171,11 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """Worker threads for `simulate`: the argument, else SDC_THREADS, else 1.
+
+    Capped at the CPU count: one thread per core is the most the tally can
+    use, and the cap bounds the pool however large the request.
+    """
     if threads is None:
         env = os.environ.get("SDC_THREADS", "").strip()
         try:
@@ -182,7 +184,7 @@ def _resolve_threads(threads: int | None) -> int:
             raise ValueError(f"SDC_THREADS must be a positive integer, got {env!r}") from None
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    return threads
+    return min(threads, os.cpu_count() or 1)
 
 
 _CHUNK_SHOTS = 1 << 16

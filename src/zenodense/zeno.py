@@ -24,7 +24,7 @@ import numpy as np
 from .bell import COMPOSITE_LABELS, BellState
 from .core import ALGEBRA_TOL, DensityMatrix, OutcomeDistribution, PureState
 from .ifm import AbsorberState
-from .optics import POLARIZATION_LABELS, CycleAngle, polarization_rotator
+from .optics import POLARIZATION_LABELS, CycleAngle, cycle_counts, polarization_rotator
 
 DISCARDED = "discarded"
 
@@ -33,10 +33,13 @@ DISCARDED = "discarded"
 _BLOCK_H, _BLOCK_V, _PASS_H, _PASS_V = range(4)
 
 
-def cycle_survival(n_cycles: int) -> float:
-    """Per-cycle survival 1 - sin^2(theta_N)/2, the same for every Bell input."""
-    angles = CycleAngle(n_cycles)
-    return float(1.0 - 0.5 * np.sin(angles.theta) ** 2)
+def cycle_survival(n_cycles):
+    """Per-cycle survival 1 - sin^2(theta_N)/2, the same for every Bell input.
+
+    Takes a cycle count or an array of them.
+    """
+    n = cycle_counts(n_cycles)
+    return 1.0 - 0.5 * np.sin(np.pi / (2.0 * n)) ** 2
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def dqz_cycle_channel(branch_index: int, n_cycles: int) -> CycleChannel:
     op[_PASS_H, _PASS_V] = (-1.0) ** (branch_index + 1) * s
     op[_PASS_V, _PASS_H] = (-1.0) ** branch_index * s
     op[_PASS_V, _PASS_V] = c
-    return CycleChannel(op, cycle_survival(n_cycles), branch_index, n_cycles)
+    return CycleChannel(op, float(cycle_survival(n_cycles)), branch_index, n_cycles)
 
 
 @dataclass(frozen=True)

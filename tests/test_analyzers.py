@@ -16,11 +16,8 @@ from zenodense.analyzers import (
     PHOTON_LOST,
     analyze,
     click_pair,
-    dqz_analyze,
-    ifm_analyze,
     ifm_bell_input,
     ifm_stage1_evolve,
-    qz_analyze,
     qz_ancilla_survival,
     qz_collapsed_state,
     qz_is_degenerate,
@@ -49,24 +46,24 @@ class TestBellStates:
 
 class TestDqzAnalyze:
     def test_phi_minus_clicks(self):
-        dist = dqz_analyze(BellState.PHI_MINUS, 10**5, m=0)
+        dist = analyze(AnalyzerKind.DQZ, BellState.PHI_MINUS, 10**5, m=0)
         outcome, p = surviving_outcome(dist)
         assert outcome.clicks == DetectorPair("D1", "D3")
         assert p == pytest.approx(0.9999876631, abs=1e-9)
 
     def test_psi_plus_clicks(self):
-        dist = dqz_analyze(BellState.PSI_PLUS, 10**5, m=0)
+        dist = analyze(AnalyzerKind.DQZ, BellState.PSI_PLUS, 10**5, m=0)
         outcome, _ = surviving_outcome(dist)
         assert outcome.clicks == DetectorPair("D2", "D4")
 
     def test_loss_probability_at_twelve_cycles(self):
         for bell in ALL_BELL_STATES:
-            dist = dqz_analyze(bell, 12)
+            dist = analyze(AnalyzerKind.DQZ, bell, 12)
             assert dist.probability(PHOTON_LOST) == pytest.approx(0.0975666150, abs=1e-9)
 
     def test_loss_is_exact_complement_of_per_cycle_survival(self):
         for n in range(1, 33):
-            dist = dqz_analyze(BellState.PSI_MINUS, n)
+            dist = analyze(AnalyzerKind.DQZ, BellState.PSI_MINUS, n)
             assert dist.probability(PHOTON_LOST) == pytest.approx(
                 1.0 - cycle_survival(n) ** n, abs=1e-15)
 
@@ -90,8 +87,8 @@ class TestDqzAnalyze:
     @pytest.mark.parametrize("bell", ALL_BELL_STATES)
     @pytest.mark.parametrize("n", [1, 2, 12, 64])
     def test_m_flip_leaves_probabilities_invariant(self, bell, n):
-        d0 = dqz_analyze(bell, n, m=0)
-        d1 = dqz_analyze(bell, n, m=1)
+        d0 = analyze(AnalyzerKind.DQZ, bell, n, m=0)
+        d1 = analyze(AnalyzerKind.DQZ, bell, n, m=1)
         out0, p0 = surviving_outcome(d0)
         out1, p1 = surviving_outcome(d1)
         assert p0 == p1
@@ -99,14 +96,14 @@ class TestDqzAnalyze:
         assert out0.clicks != out1.clicks
 
     def test_counterfactual_weights(self):
-        dist = dqz_analyze(BellState.PHI_PLUS, 8)
+        dist = analyze(AnalyzerKind.DQZ, BellState.PHI_PLUS, 8)
         outcome, _ = surviving_outcome(dist)
         assert outcome.counterfactual_weight == 0.5
         assert PHOTON_LOST.counterfactual_weight == 0.0
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            dqz_analyze(BellState.PHI_PLUS, 4, m=2)
+            analyze(AnalyzerKind.DQZ, BellState.PHI_PLUS, 4, m=2)
 
 
 class TestIfmAnalyze:
@@ -134,14 +131,14 @@ class TestIfmAnalyze:
 
     def test_family_routes_to_photon_detectors(self):
         for bell in ALL_BELL_STATES:
-            outcome, _ = surviving_outcome(ifm_analyze(bell, 10**5))
+            outcome, _ = surviving_outcome(analyze(AnalyzerKind.IFM, bell, 10**5))
             expected = "D4" if bell.family == "phi" else "D3"
             assert outcome.clicks.photon == expected
 
     def test_uniform_mixture_survival_matches_closed_form(self):
         for n in (2, 7, 24, 64):
             mean = np.mean([
-                1.0 - ifm_analyze(bell, n).probability(PHOTON_LOST)
+                1.0 - analyze(AnalyzerKind.IFM, bell, n).probability(PHOTON_LOST)
                 for bell in ALL_BELL_STATES
             ])
             p_avg = 0.5 * (np.cos(np.pi / (2 * n)) ** (2 * n) + 1.0)
@@ -149,7 +146,7 @@ class TestIfmAnalyze:
 
     def test_uniform_mixture_success_at_twenty_four_cycles(self):
         mean = np.mean([
-            1.0 - ifm_analyze(bell, 24).probability(PHOTON_LOST)
+            1.0 - analyze(AnalyzerKind.IFM, bell, 24).probability(PHOTON_LOST)
             for bell in ALL_BELL_STATES
         ])
         assert mean == pytest.approx(r_analytic(AnalyzerKind.IFM, 24) / 2.0, abs=1e-12)
@@ -158,20 +155,20 @@ class TestIfmAnalyze:
     def test_per_family_survival_split(self):
         n = 12
         stage2 = cycle_survival(n) ** n
-        phi = 1.0 - ifm_analyze(BellState.PHI_PLUS, n).probability(PHOTON_LOST)
-        psi = 1.0 - ifm_analyze(BellState.PSI_MINUS, n).probability(PHOTON_LOST)
+        phi = 1.0 - analyze(AnalyzerKind.IFM, BellState.PHI_PLUS, n).probability(PHOTON_LOST)
+        psi = 1.0 - analyze(AnalyzerKind.IFM, BellState.PSI_MINUS, n).probability(PHOTON_LOST)
         assert phi == pytest.approx(np.cos(np.pi / (2 * n)) ** (2 * n) * stage2, abs=1e-12)
         assert psi == pytest.approx(stage2, abs=1e-12)
 
 
 class TestQzAnalyze:
     def test_two_cycle_survival(self):
-        dist = qz_analyze(BellState.PHI_PLUS, 2)
+        dist = analyze(AnalyzerKind.QZ, BellState.PHI_PLUS, 2)
         _, p = surviving_outcome(dist)
         assert p == pytest.approx(0.0625, abs=1e-15)
 
     def test_large_n_survival(self):
-        _, p = surviving_outcome(qz_analyze(BellState.PSI_PLUS, 10**5))
+        _, p = surviving_outcome(analyze(AnalyzerKind.QZ, BellState.PSI_PLUS, 10**5))
         assert p >= 0.9999
 
     def test_single_cycle_flagged_degenerate(self):
@@ -181,7 +178,7 @@ class TestQzAnalyze:
 
     def test_loss_complement_exact(self):
         for n in (2, 5, 71):
-            dist = qz_analyze(BellState.PHI_MINUS, n)
+            dist = analyze(AnalyzerKind.QZ, BellState.PHI_MINUS, n)
             assert dist.probability(PHOTON_LOST) == pytest.approx(
                 1.0 - qz_ancilla_survival(n), abs=1e-15)
 

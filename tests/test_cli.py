@@ -124,6 +124,43 @@ class TestRun:
         assert exc.value.code == 2
 
 
+class TestGoldenOutput:
+    """Exact bytes of seeded output across all three analyzers.
+
+    The Monte-Carlo columns pin the per-row stream tags, which follow the
+    analyzer order; the compare table pins the resource columns.
+    """
+
+    SWEEP = (
+        "N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high\n"
+        "1,dqz,1,0.986,1000,0.924025432,1.04797457\n"
+        "2,dqz,1.125,1.126,1000,1.06451333,1.18748667\n"
+        "3,dqz,1.33984375,1.278,1000,1.21846257,1.33753743\n"
+        "1,ifm,0.5,0.53,1000,0.475291769,0.584708231\n"
+        "2,ifm,0.703125,0.708,1000,0.648720578,0.767279422\n"
+        "3,ifm,0.952545166,0.902,1000,0.840317707,0.963682293\n"
+        "1,qz,2,2,1000,2,2\n"
+        "2,qz,0.125,0.152,1000,0.119150494,0.184849506\n"
+        "3,qz,0.167480469,0.146,1000,0.113753145,0.178246855\n"
+    )
+    COMPARE = [
+        {"analyzer": "qz", "min_n": 71, "beamsplitters": 71, "ancilla": True},
+        {"analyzer": "ifm", "min_n": 24, "beamsplitters": 96, "ancilla": False},
+        {"analyzer": "dqz", "min_n": 12, "beamsplitters": 24, "ancilla": False},
+    ]
+
+    def test_seeded_sweep_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--analyzer=all", "--n-min=1", "--n-max=3",
+                               "--shots=1000", "--seed=7")
+        assert code == 0
+        assert out == self.SWEEP
+
+    def test_compare_json(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--target-r=1.8", "--format=json")
+        assert code == 0
+        assert json.loads(out) == self.COMPARE
+
+
 class TestCompare:
     def test_golden_table(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--target-r=1.8")
@@ -188,6 +225,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--analyzer=dqz", "--n-min=5", "--n-max=2"])
         assert exc.value.code == 2
+
+    def test_n_max_beyond_curve_cap_exits_two(self, capsys):
+        # Past 10**6 cycles the per-row stream tags would head for collisions.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--analyzer=dqz", "--n-min=1000000", "--n-max=1000001"])
+        assert exc.value.code == 2
+        assert "1000000" in capsys.readouterr().err
 
 
 class TestThreadEnv:

@@ -14,7 +14,6 @@ from zenodense.core import (
     apply_operator,
     hadamard,
     measure,
-    sample,
     shot_stream,
     shot_uniforms,
     tensor,
@@ -201,7 +200,7 @@ class TestSample:
     def test_degenerate_distribution(self):
         dist = OutcomeDistribution([("A", 1.0)])
         for seed in (0, 1, 12345):
-            assert sample(dist, shot_stream(seed, 0)) == "A"
+            assert dist.sample(shot_stream(seed, 0)) == "A"
 
     def test_fair_coin_frequency_within_three_sigma(self):
         # 3 sigma for 1e6 fair draws: 3 * sqrt(0.25 / 1e6) = 1.5e-3.
@@ -211,8 +210,8 @@ class TestSample:
 
     def test_same_seed_and_shot_identical(self):
         dist = OutcomeDistribution([("A", 0.3), ("B", 0.3), ("C", 0.4)])
-        a = [sample(dist, shot_stream(7, i)) for i in range(50)]
-        b = [sample(dist, shot_stream(7, i)) for i in range(50)]
+        a = [dist.sample(shot_stream(7, i)) for i in range(50)]
+        b = [dist.sample(shot_stream(7, i)) for i in range(50)]
         assert a == b
 
     def test_matches_inverse_cdf_over_listed_order(self):
@@ -220,7 +219,7 @@ class TestSample:
         for i in range(200):
             u = float(shot_stream(3, i).random())
             expected = "A" if u < 0.3 else ("B" if u < 0.6 else "C")
-            assert sample(dist, shot_stream(3, i)) == expected
+            assert dist.sample(shot_stream(3, i)) == expected
 
 
 class TestShotStreams:

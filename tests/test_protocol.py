@@ -1,11 +1,13 @@
 """Superdense-coding protocol: encode/decode, shot runner, Monte-Carlo estimator."""
 
+import os
+
 import numpy as np
 import pytest
 
 from zenodense.analyzers import AnalyzerKind, BellState, DetectorPair, click_pair
 from zenodense.metrics import r_analytic
-from zenodense.protocol import decode, encode, run_protocol, simulate
+from zenodense.protocol import _resolve_threads, decode, encode, run_protocol, simulate
 
 ALL_KINDS = (AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ)
 
@@ -131,6 +133,15 @@ class TestSimulate:
         serial = simulate(AnalyzerKind.QZ, 8, shots, 42, threads=1)
         threaded = simulate(AnalyzerKind.QZ, 8, shots, 42, threads=4)
         assert serial == threaded
+
+    def test_thread_request_capped_at_cpu_count(self, monkeypatch):
+        # Resolving the count starts no thread, so huge requests are safe to test.
+        cap = os.cpu_count() or 1
+        assert _resolve_threads(10**6) == cap
+        monkeypatch.setenv("SDC_THREADS", str(10**6))
+        assert _resolve_threads(None) == cap
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(10**6) == 1
 
     def test_env_var_thread_cap(self, monkeypatch):
         monkeypatch.setenv("SDC_THREADS", "3")
