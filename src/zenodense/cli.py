@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,33 +87,23 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = [(kind, n) for kind in config.analyzers
             for n in range(config.n_min, config.n_max + 1)]
     _warn_degenerate(rows)
-    records = []
-    for kind, n in rows:
-        record = {
-            "n": n,
-            "analyzer": kind.value,
-            "r_analytic": metrics.r_analytic(kind, n),
-            "r_mc": None,
-            "mc_shots": None,
-            "ci95_low": None,
-            "ci95_high": None,
-        }
-        if config.shots:
-            estimate = protocol.simulate(kind, n, config.shots, config.seed,
-                                         stream_tag=_sweep_stream_tag(kind, n))
-            record.update(r_mc=estimate.r_hat, mc_shots=config.shots,
-                          ci95_low=estimate.ci95[0], ci95_high=estimate.ci95[1])
-        records.append(record)
-
     stream, owned = _open_out(config.out)
     try:
+        # Each row is written as soon as it is computed; the bytes equal
+        # json.dump(records, indent=2) and one csv.writer pass over them.
         if config.fmt == "json":
-            json.dump(records, stream, indent=2)
-            stream.write("\n")
+            opening = "[\n"
+
+            def write(record):
+                nonlocal opening
+                # A one-element list dumps the record at its nesting depth.
+                stream.write(opening + json.dumps([record], indent=2)[2:-2])
+                opening = ",\n"
         else:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for rec in records:
+
+            def write(rec):
                 writer.writerow([
                     rec["n"], rec["analyzer"], _fmt(rec["r_analytic"]),
                     "" if rec["r_mc"] is None else _fmt(rec["r_mc"]),
@@ -120,6 +111,25 @@ def cmd_sweep(config: RunConfig) -> int:
                     "" if rec["ci95_low"] is None else _fmt(rec["ci95_low"]),
                     "" if rec["ci95_high"] is None else _fmt(rec["ci95_high"]),
                 ])
+
+        for kind, n in rows:
+            record = {
+                "n": n,
+                "analyzer": kind.value,
+                "r_analytic": metrics.r_analytic(kind, n),
+                "r_mc": None,
+                "mc_shots": None,
+                "ci95_low": None,
+                "ci95_high": None,
+            }
+            if config.shots:
+                estimate = protocol.simulate(kind, n, config.shots, config.seed,
+                                             stream_tag=_sweep_stream_tag(kind, n))
+                record.update(r_mc=estimate.r_hat, mc_shots=config.shots,
+                              ci95_low=estimate.ci95[0], ci95_high=estimate.ci95[1])
+            write(record)
+        if config.fmt == "json":
+            stream.write("[]\n" if opening == "[\n" else "\n]\n")
     finally:
         if owned:
             stream.close()
@@ -311,7 +321,11 @@ def run_selftest(inject_fault: str | None = None) -> int:
     ]
     failures = 0
     for name, check in checks:
-        detail = check()
+        try:
+            detail = check()
+        except Exception as exc:  # a broken invariant may raise; report it and go on
+            traceback.print_exc(file=sys.stderr)
+            detail = f"raised {type(exc).__name__}: {exc}"
         if detail is None:
             print(f"ok   {name}")
         else:

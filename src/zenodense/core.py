@@ -9,6 +9,14 @@ labels it expects; silent index conventions are how sign bugs happen.
 All values are immutable after construction and every operation is pure,
 so states and operators are safe to share across threads. The only mutable
 object anywhere is a per-shot RNG stream owned by a single shot.
+
+Randomness is counter-based: shot i owns the i-th Philox block of four
+64-bit words. `shot_stream` reads it as uniform doubles for the per-shot
+runner; `shot_uniforms` hands the raw words of many shots to the vectorized
+Monte-Carlo, which uses words 0 and 1 and compares their top bits against
+integer thresholds. Uniform j of a shot is (word j >> 11) * 2**-53, numpy's
+own Philox double, so the integer and the float comparison decide every
+shot identically.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ MAX_TENSOR_DIM = 16
 
 # Every shot owns exactly one Philox block of four 64-bit words. Keeping the
 # per-shot draw budget equal to the block size makes serial, chunked, and
-# threaded execution consume identical words (see shot_stream).
+# threaded execution consume identical words (see shot_stream). Only words 0
+# (message) and 1 (survival) are used; words 2 and 3 are drawn and discarded.
 DRAWS_PER_SHOT = 4
 
 
@@ -355,14 +364,18 @@ def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.ra
 
 def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
                   stream_tag: int = 0) -> np.ndarray:
-    """Uniforms for shots [start_shot, start_shot + n_shots), shape (n, DRAWS_PER_SHOT).
+    """Raw Philox words for shots [start_shot, start_shot + n_shots), shape (n, DRAWS_PER_SHOT).
 
-    Row i equals shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT)
-    bit for bit; vectorized Monte-Carlo and per-shot evaluation see the same
-    numbers.
+    The words are uint64. Uniform j of shot i is (w[i, j] >> 11) * 2**-53,
+    exactly numpy's Philox double, so row i converted that way equals
+    shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT) bit for
+    bit. For p in [0, 1], u < p holds exactly when
+    (w >> 11) < ceil(p * 2**53), and min(int(4 * u), 3) equals w >> 62: the
+    vectorized Monte-Carlo decides on integers what the per-shot runner
+    decides on floats, shot for shot.
     """
     if start_shot < 0 or n_shots < 0:
         raise ValueError("start_shot and n_shots must be non-negative")
     bits = _philox(master_seed, stream_tag)
     bits.advance(int(start_shot))
-    return np.random.Generator(bits).random((int(n_shots), DRAWS_PER_SHOT))
+    return bits.random_raw(int(n_shots) * DRAWS_PER_SHOT).reshape(int(n_shots), DRAWS_PER_SHOT)

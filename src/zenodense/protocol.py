@@ -8,12 +8,16 @@ r_hat = 2 * (surviving and correctly decoded) / shots.
 
 Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
-counter-based stream, so `simulate` (vectorized, optionally threaded) and
-`run_protocol` (one shot at a time) see bit-identical trajectories.
+counter-based stream. `run_protocol` (one shot at a time) compares the
+uniforms as floats; `simulate` (vectorized, optionally threaded) compares the
+raw Philox words they are made from against integer thresholds, which
+decides every shot the same way.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -184,10 +188,44 @@ def _resolve_threads(threads: int | None) -> int:
             raise ValueError(f"SDC_THREADS must be a positive integer, got {env!r}") from None
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    return min(threads, os.cpu_count() or 1)
+    # os.cpu_count() reads sysfs on every call; a serial session skips it.
+    return 1 if threads == 1 else min(threads, os.cpu_count() or 1)
 
 
 _CHUNK_SHOTS = 1 << 16
+
+
+def _survival_threshold(p: float) -> int:
+    """ceil(p * 2**53), with p clipped to [0, 1].
+
+    For a 53-bit k, k < threshold holds exactly when k * 2**-53 < p: scaling
+    by a power of two is exact, and k < x equals k < ceil(x) for integer k.
+    At p = 1 the threshold is 2**53, which still fits a uint64.
+    """
+    return math.ceil(min(max(p, 0.0), 1.0) * 2.0**53)
+
+
+@functools.lru_cache(maxsize=1024)
+def _tally_plan(analyzer: AnalyzerKind, n_cycles: int,
+                message: str | None) -> tuple[np.uint64 | np.ndarray, tuple[int, ...]]:
+    """Per-session constants of the Monte-Carlo tally: (threshold, wrong).
+
+    `threshold` is the uint64 survival threshold, a scalar when every message
+    sent shares it and else an array indexed by message. `wrong` lists the
+    message indices whose deterministic surviving click pair decodes to
+    another message. Cached: a row's constants are the same on every call.
+    """
+    sent = MESSAGES if message is None else (message,)
+    limits = [_survival_threshold(survival_probability(analyzer, encode(msg), n_cycles))
+              for msg in sent]
+    if len(set(limits)) == 1:
+        threshold = np.uint64(limits[0])
+    else:
+        threshold = np.array(limits, dtype=np.uint64)
+        threshold.setflags(write=False)
+    wrong = tuple(MESSAGES.index(msg) for msg in sent
+                  if decode(click_pair(analyzer, encode(msg)), analyzer)[1] != msg)
+    return threshold, wrong
 
 
 def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,
@@ -206,28 +244,28 @@ def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int
     if message is not None and message not in MESSAGES:
         raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
     threads = _resolve_threads(threads)
-
-    p_by_message = np.array([
-        survival_probability(analyzer, encode(msg), n_cycles) for msg in MESSAGES
-    ])
-    # Decode the deterministic surviving pair once per message class; the
-    # vectorized count below multiplies this exactness out over the shots.
-    decodes_correctly = np.array([
-        decode(click_pair(analyzer, encode(msg)), analyzer)[1] == msg for msg in MESSAGES
-    ])
+    threshold, wrong = _tally_plan(analyzer, n_cycles, message)
 
     def tally(start: int, count: int) -> np.ndarray:
-        u = shot_uniforms(master_seed, start, count, stream_tag)
-        if message is None:
-            msg_idx = np.minimum((u[:, 0] * 4).astype(np.int64), 3)
+        words = shot_uniforms(master_seed, start, count, stream_tag)
+        # Word 1's top 53 bits decide survival and word 0's top two bits pick
+        # the message; a fixed message still burns word 0.
+        drawn = words[:, 1] >> 11
+        if threshold.ndim == 0:
+            survived = drawn < threshold
         else:
-            msg_idx = np.full(count, MESSAGES.index(message), dtype=np.int64)
-        survived = u[:, 1] < p_by_message[msg_idx]
-        correct_mask = survived & decodes_correctly[msg_idx]
-        # counts: [survived, correct, decode errors]
+            survived = drawn < threshold[words[:, 0] >> 62]
         n_survived = int(np.count_nonzero(survived))
-        n_correct = int(np.count_nonzero(correct_mask))
-        return np.array([n_survived, n_correct, n_survived - n_correct], dtype=np.int64)
+        # The surviving pair is deterministic per message, so decode errors
+        # are the survivors among the message classes that mis-decode.
+        if not wrong:
+            n_errors = 0
+        elif message is not None:
+            n_errors = n_survived
+        else:
+            n_errors = int(np.count_nonzero(survived & np.isin(words[:, 0] >> 62, wrong)))
+        # counts: [survived, correct, decode errors]
+        return np.array([n_survived, n_survived - n_errors, n_errors], dtype=np.int64)
 
     chunks = [(start, min(_CHUNK_SHOTS, shots - start))
               for start in range(0, shots, _CHUNK_SHOTS)]
@@ -241,7 +279,7 @@ def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int
 
     n_survived, n_correct, n_errors = (int(v) for v in totals)
     p_hat = n_correct / shots
-    half_width = 1.96 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
+    half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
     ci = (max(2.0 * (p_hat - half_width), 0.0), min(2.0 * (p_hat + half_width), 2.0))
     return EfficiencyEstimate(
         analyzer=analyzer,

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+from zenodense import cli, metrics
 from zenodense.cli import main
 
 CSV_HEADER = "N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high"
@@ -72,6 +74,28 @@ class TestSweep:
         assert [r["n"] for r in records] == [2, 3]
         assert records[0]["analyzer"] == "ifm"
         assert records[0]["r_mc"] is None
+        assert out == json.dumps(records, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_as_they_are_computed(self, monkeypatch, fmt):
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        rows_out = []
+        real_r_analytic = metrics.r_analytic
+
+        def spy(kind, n):
+            text = stream.getvalue()
+            rows_out.append(text.count('"n":') if fmt == "json" else text.count("\n") - 1)
+            return real_r_analytic(kind, n)
+
+        monkeypatch.setattr(metrics, "r_analytic", spy)
+        code = main(["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=4", "--shots=500",
+                     f"--format={fmt}"])
+        assert code == 0
+        assert rows_out == [0, 1, 2, 3]
+        if fmt == "json":
+            records = json.loads(stream.getvalue())
+            assert stream.getvalue() == json.dumps(records, indent=2) + "\n"
 
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -195,6 +219,21 @@ class TestSelftest:
         assert time.perf_counter() - start < 60.0
         assert code == 0
         assert "all" in out and "passed" in out
+
+    def test_raising_check_reports_fail_and_the_rest_still_run(self, capsys, monkeypatch):
+        def raising_check():
+            raise ValueError("invalid detector pair D2*D6 for dqz")
+
+        monkeypatch.setattr(cli, "_check_golden_decode", raising_check)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL golden-decode-table: raised ValueError: invalid detector pair D2*D6 for dqz"]
+        for name in ("operator-orthogonality", "channel-trace-preservation",
+                     "bell-target-fidelity", "analytic-vs-mc", "golden-thresholds",
+                     "decode-roundtrip"):
+            assert f"ok   {name}" in out
 
     def test_fault_injection_names_the_broken_invariants(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--inject-fault=k-sign")

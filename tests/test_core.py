@@ -24,6 +24,11 @@ from zenodense.optics import beam_splitter
 SQ2 = np.sqrt(2.0)
 
 
+def as_uniforms(words):
+    """numpy's Philox double from raw words: (w >> 11) * 2**-53."""
+    return (words >> 11) * 2.0**-53
+
+
 def state(labels, amps, **kw):
     return PureState(labels, amps, **kw)
 
@@ -204,7 +209,7 @@ class TestSample:
 
     def test_fair_coin_frequency_within_three_sigma(self):
         # 3 sigma for 1e6 fair draws: 3 * sqrt(0.25 / 1e6) = 1.5e-3.
-        u = shot_uniforms(42, 0, 10**6)[:, 0]
+        u = as_uniforms(shot_uniforms(42, 0, 10**6)[:, 0])
         freq = float(np.mean(u < 0.5))
         assert abs(freq - 0.5) <= 1.5e-3
 
@@ -230,14 +235,14 @@ class TestShotStreams:
             assert np.array_equal(forward[i], backward[19 - i])
 
     def test_block_uniforms_match_per_shot_streams(self):
-        block = shot_uniforms(99, 0, 64)
+        block = as_uniforms(shot_uniforms(99, 0, 64))
         for i in (0, 1, 7, 40, 63):
             assert np.array_equal(block[i], shot_stream(99, i).random(DRAWS_PER_SHOT))
 
     def test_chunked_equals_whole(self):
-        whole = shot_uniforms(5, 0, 100)
-        parts = np.vstack([shot_uniforms(5, 0, 33), shot_uniforms(5, 33, 33),
-                           shot_uniforms(5, 66, 34)])
+        whole = as_uniforms(shot_uniforms(5, 0, 100))
+        parts = as_uniforms(np.vstack([shot_uniforms(5, 0, 33), shot_uniforms(5, 33, 33),
+                                       shot_uniforms(5, 66, 34)]))
         assert np.array_equal(whole, parts)
 
     def test_stream_tags_are_independent(self):

@@ -4,10 +4,28 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from zenodense.analyzers import AnalyzerKind, BellState, DetectorPair, click_pair
+from zenodense import protocol
+from zenodense.analyzers import (
+    AnalyzerKind,
+    BellState,
+    DetectorPair,
+    click_pair,
+    survival_probability,
+)
+from zenodense.core import DRAWS_PER_SHOT
 from zenodense.metrics import r_analytic
-from zenodense.protocol import _resolve_threads, decode, encode, run_protocol, simulate
+from zenodense.protocol import (
+    MESSAGES,
+    _resolve_threads,
+    _survival_threshold,
+    decode,
+    encode,
+    run_protocol,
+    simulate,
+)
 
 ALL_KINDS = (AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ)
 
@@ -174,6 +192,10 @@ class TestSimulate:
             estimate = simulate(kind, 12, shots, seed)
             assert abs(estimate.r_hat - expected) <= band
 
+    def test_ci95_bounds_are_plain_floats(self):
+        estimate = simulate(AnalyzerKind.IFM, 12, 5_000, 3)
+        assert all(type(bound) is float for bound in estimate.ci95)
+
     def test_ci_brackets_r_hat_and_is_calibrated(self):
         estimate = simulate(AnalyzerKind.DQZ, 12, 100_000, 0)
         low, high = estimate.ci95
@@ -194,3 +216,126 @@ class TestSimulate:
             simulate(AnalyzerKind.DQZ, 12, 10, 1, message="22")
         with pytest.raises(ValueError):
             simulate(AnalyzerKind.DQZ, 12, 10, 1, threads=0)
+
+
+def float_reference(kind, n_cycles, shots, seed, message=None):
+    """(survived, correct) by the float tally: numpy's uniforms compared as doubles."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
+    if message is None:
+        sent = np.minimum((u[:, 0] * 4).astype(np.int64), 3)
+    else:
+        sent = np.full(shots, MESSAGES.index(message))
+    p = np.array([survival_probability(kind, encode(msg), n_cycles) for msg in MESSAGES])
+    decodes = np.array([decode(click_pair(kind, encode(msg)), kind)[1] == msg
+                        for msg in MESSAGES])
+    survived = u[:, 1] < p[sent]
+    return int(np.count_nonzero(survived)), int(np.count_nonzero(survived & decodes[sent]))
+
+
+def survived_count(estimate):
+    return estimate.shots - round(estimate.lost_fraction * estimate.shots)
+
+
+class TestIntegerTally:
+    @given(k=st.integers(0, 2**53 - 1), p=st.floats(0.0, 1.0))
+    @example(k=0, p=0.0)
+    @example(k=0, p=1.0)
+    @example(k=2**53 - 1, p=1.0)
+    @example(k=0, p=1.874699728327322e-33)
+    def test_threshold_equals_float_compare(self, k, p):
+        threshold = _survival_threshold(p)
+        assert (k < threshold) == (k * 2.0**-53 < p)
+        assert bool(np.uint64(k) < np.uint64(threshold)) == (k < threshold)
+
+    @given(k=st.integers(0, 2**53 - 1))
+    @example(k=0)
+    @example(k=2**53 - 1)
+    def test_threshold_at_and_beside_grid_points(self, k):
+        # p exactly on a uniform's value and its two float neighbours.
+        u = k * 2.0**-53
+        for p in (float(np.nextafter(u, 0.0)), u, float(np.nextafter(u, 1.0))):
+            threshold = _survival_threshold(p)
+            for j in (k - 1, k, k + 1):
+                if 0 <= j < 2**53:
+                    assert (j < threshold) == (j * 2.0**-53 < p)
+
+    def test_threshold_clips_and_fits_uint64(self):
+        assert _survival_threshold(-0.25) == 0
+        assert _survival_threshold(1.0) == _survival_threshold(1.5) == 2**53
+        assert int(np.uint64(_survival_threshold(1.0))) == 2**53
+
+    @given(word=st.integers(0, 2**64 - 1))
+    @example(word=0)
+    @example(word=2**64 - 1)
+    @example(word=2**62 - 1)
+    @example(word=2**62)
+    def test_message_index_from_top_bits(self, word):
+        u = (word >> 11) * 2.0**-53
+        assert int(np.uint64(word) >> 62) == min(int(u * 4), 3)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_words_at_the_threshold_decide_like_floats(self, monkeypatch, kind):
+        # Word 1 one below, on and one above each message's threshold, with
+        # its 11 discarded low bits set; word 0 sends that message.
+        p = [survival_probability(kind, encode(msg), 12) for msg in MESSAGES]
+        rows = []
+        for index, p_message in enumerate(p):
+            k0 = _survival_threshold(p_message)
+            rows += [[index << 62, (k << 11) | 0x7FF, 0, 0] for k in (k0 - 1, k0, k0 + 1)]
+        words = np.array(rows, dtype=np.uint64)
+        monkeypatch.setattr(protocol, "shot_uniforms", lambda *args: words)
+        estimate = simulate(kind, 12, len(rows), 0)
+        u = (words >> 11) * 2.0**-53
+        expected = sum(u[i, 1] < p[min(int(u[i, 0] * 4), 3)] for i in range(len(rows)))
+        assert survived_count(estimate) == expected == 4
+
+    @pytest.mark.parametrize("shots", [65_535, 65_536, 65_537])
+    @pytest.mark.parametrize("kind, message", [(AnalyzerKind.DQZ, "10"),
+                                               (AnalyzerKind.IFM, "00")])
+    def test_fixed_message_matches_float_tally_across_chunk_edge(self, kind, message, shots):
+        for threads in (1, 2):
+            estimate = simulate(kind, 12, shots, 21, message=message, threads=threads)
+            assert (survived_count(estimate), estimate.correct) == float_reference(
+                kind, 12, shots, 21, message)
+
+    def test_survival_one_keeps_every_shot(self):
+        # qz at N = 1: p = 1.0, the top threshold 2**53.
+        assert survival_probability(AnalyzerKind.QZ, BellState.PHI_PLUS, 1) == 1.0
+        estimate = simulate(AnalyzerKind.QZ, 1, 70_000, 4)
+        assert survived_count(estimate) == estimate.correct == 70_000
+        assert float_reference(AnalyzerKind.QZ, 1, 70_000, 4) == (70_000, 70_000)
+
+    def test_tiny_phi_survival_matches_float_tally(self):
+        # ifm at N = 1: the Phi family survives with p ~ 1.9e-33, threshold 1.
+        assert 0.0 < survival_probability(AnalyzerKind.IFM, BellState.PHI_PLUS, 1) < 1e-30
+        estimate = simulate(AnalyzerKind.IFM, 1, 70_000, 4)
+        assert (survived_count(estimate), estimate.correct) == float_reference(
+            AnalyzerKind.IFM, 1, 70_000, 4)
+
+    def test_mis_decoding_class_counts_its_survivors(self, monkeypatch):
+        # A decode table that sends Psi- to "00" must turn every surviving
+        # "11" shot into a decode error, and no other shot.
+        real_decode = protocol.decode
+
+        def broken_decode(clicks, analyzer=AnalyzerKind.DQZ):
+            bell, message = real_decode(clicks, analyzer)
+            return (bell, "00") if message == "11" else (bell, message)
+
+        monkeypatch.setattr(protocol, "decode", broken_decode)
+        protocol._tally_plan.cache_clear()
+        try:
+            shots = 70_000
+            bits = np.random.Philox(key=np.array([8, 0], dtype=np.uint64))
+            u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
+            p = survival_probability(AnalyzerKind.DQZ, BellState.PSI_MINUS, 12)
+            sent_11 = np.minimum((u[:, 0] * 4).astype(np.int64), 3) == 3
+            expected = int(np.count_nonzero(sent_11 & (u[:, 1] < p)))
+            uniform = simulate(AnalyzerKind.DQZ, 12, shots, 8, threads=2)
+            assert uniform.decode_error_count == expected > 0
+            assert uniform.correct == survived_count(uniform) - expected
+            fixed = simulate(AnalyzerKind.DQZ, 12, shots, 8, message="11")
+            assert fixed.decode_error_count == survived_count(fixed) > 0
+            assert fixed.correct == 0
+        finally:
+            protocol._tally_plan.cache_clear()
