@@ -17,8 +17,10 @@ with at least six significant digits and bare \n newlines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 import time
 import traceback
@@ -83,56 +85,76 @@ def _sweep_stream_tag(analyzer: AnalyzerKind, n_cycles: int) -> int:
     return tuple(AnalyzerKind).index(analyzer) * (1 << 32) + n_cycles
 
 
+@contextlib.contextmanager
+def _replacing_out(path: str | None):
+    """Text stream for `path`, stdout for None or "-".
+
+    A regular-file target is written under a sibling name and renamed over
+    `path` only once the block completes, so a run that fails part-way
+    leaves the target as it was. Other targets (a device, a FIFO) are
+    written directly.
+    """
+    if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+        stream, owned = _open_out(path)
+        try:
+            yield stream
+        finally:
+            if owned:
+                stream.close()
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
+    stream = open(partial, "w", newline="")
+    try:
+        yield stream
+        stream.close()
+        os.replace(partial, target)
+    except BaseException:
+        stream.close()
+        os.remove(partial)
+        raise
+
+
 def cmd_sweep(config: RunConfig) -> int:
     rows = [(kind, n) for kind in config.analyzers
             for n in range(config.n_min, config.n_max + 1)]
     _warn_degenerate(rows)
-    stream, owned = _open_out(config.out)
-    try:
-        # Each row is written as soon as it is computed; the bytes equal
-        # json.dump(records, indent=2) and one csv.writer pass over them.
-        if config.fmt == "json":
-            opening = "[\n"
-
-            def write(record):
-                nonlocal opening
-                # A one-element list dumps the record at its nesting depth.
-                stream.write(opening + json.dumps([record], indent=2)[2:-2])
-                opening = ",\n"
-        else:
+    with _replacing_out(config.out) as stream:
+        # Each row is written as soon as it is computed; the bytes equal one
+        # csv.writer pass or json.dump(records, indent=2) over all rows.
+        if config.fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-
-            def write(rec):
-                writer.writerow([
-                    rec["n"], rec["analyzer"], _fmt(rec["r_analytic"]),
-                    "" if rec["r_mc"] is None else _fmt(rec["r_mc"]),
-                    "" if rec["mc_shots"] is None else rec["mc_shots"],
-                    "" if rec["ci95_low"] is None else _fmt(rec["ci95_low"]),
-                    "" if rec["ci95_high"] is None else _fmt(rec["ci95_high"]),
-                ])
-
+        separator = "[\n"
         for kind, n in rows:
-            record = {
-                "n": n,
-                "analyzer": kind.value,
-                "r_analytic": metrics.r_analytic(kind, n),
-                "r_mc": None,
-                "mc_shots": None,
-                "ci95_low": None,
-                "ci95_high": None,
-            }
+            r_analytic = metrics.r_analytic(kind, n)
+            estimate = None
             if config.shots:
                 estimate = protocol.simulate(kind, n, config.shots, config.seed,
                                              stream_tag=_sweep_stream_tag(kind, n))
-                record.update(r_mc=estimate.r_hat, mc_shots=config.shots,
-                              ci95_low=estimate.ci95[0], ci95_high=estimate.ci95[1])
-            write(record)
+            if config.fmt == "csv":
+                if estimate is None:
+                    writer.writerow([n, kind.value, _fmt(r_analytic), "", "", "", ""])
+                else:
+                    writer.writerow([n, kind.value, _fmt(r_analytic), _fmt(estimate.r_hat),
+                                     config.shots, _fmt(estimate.ci95[0]),
+                                     _fmt(estimate.ci95[1])])
+                continue
+            record = {
+                "n": n,
+                "analyzer": kind.value,
+                "r_analytic": r_analytic,
+                "r_mc": None if estimate is None else estimate.r_hat,
+                "mc_shots": None if estimate is None else config.shots,
+                "ci95_low": None if estimate is None else estimate.ci95[0],
+                "ci95_high": None if estimate is None else estimate.ci95[1],
+            }
+            # A one-element list dumps the record at its nesting depth.
+            stream.write(separator + json.dumps([record], indent=2)[2:-2])
+            separator = ",\n"
         if config.fmt == "json":
-            stream.write("[]\n" if opening == "[\n" else "\n]\n")
-    finally:
-        if owned:
-            stream.close()
+            stream.write("[]\n" if separator == "[\n" else "\n]\n")
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ decides every shot the same way.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -205,7 +204,6 @@ def _survival_threshold(p: float) -> int:
     return math.ceil(min(max(p, 0.0), 1.0) * 2.0**53)
 
 
-@functools.lru_cache(maxsize=1024)
 def _tally_plan(analyzer: AnalyzerKind, n_cycles: int,
                 message: str | None) -> tuple[np.uint64 | np.ndarray, tuple[int, ...]]:
     """Per-session constants of the Monte-Carlo tally: (threshold, wrong).
@@ -213,7 +211,7 @@ def _tally_plan(analyzer: AnalyzerKind, n_cycles: int,
     `threshold` is the uint64 survival threshold, a scalar when every message
     sent shares it and else an array indexed by message. `wrong` lists the
     message indices whose deterministic surviving click pair decodes to
-    another message. Cached: a row's constants are the same on every call.
+    another message.
     """
     sent = MESSAGES if message is None else (message,)
     limits = [_survival_threshold(survival_probability(analyzer, encode(msg), n_cycles))
@@ -222,7 +220,6 @@ def _tally_plan(analyzer: AnalyzerKind, n_cycles: int,
         threshold = np.uint64(limits[0])
     else:
         threshold = np.array(limits, dtype=np.uint64)
-        threshold.setflags(write=False)
     wrong = tuple(MESSAGES.index(msg) for msg in sent
                   if decode(click_pair(analyzer, encode(msg)), analyzer)[1] != msg)
     return threshold, wrong

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zenodense import cli, metrics
+from zenodense import cli, metrics, protocol
 from zenodense.cli import main
 
 CSV_HEADER = "N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high"
@@ -105,6 +105,40 @@ class TestSweep:
         content = target.read_text()
         assert content.startswith(CSV_HEADER)
         assert "\r" not in content
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_sweep_leaves_the_target_as_it_was(self, capsys, monkeypatch, tmp_path,
+                                                      fmt, error):
+        target = tmp_path / "sweep.out"
+        target.write_text("earlier result\n")
+        real_simulate = protocol.simulate
+
+        def failing_simulate(kind, n, *args, **kwargs):
+            if n == 3:
+                raise error("row 3 failed")
+            return real_simulate(kind, n, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "simulate", failing_simulate)
+        argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=4", "--shots=100",
+                f"--format={fmt}", f"--out={target}"]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert run_cli(capsys, *argv)[0] == 2
+        assert target.read_text() == "earlier result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
+
+    def test_output_through_a_symlink_equals_stdout(self, capsys, tmp_path):
+        argv = ["sweep", "--analyzer=all", "--n-min=1", "--n-max=3", "--shots=200",
+                "--format=json"]
+        _, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "link.json"
+        (tmp_path / "real.json").write_text("old")
+        target.symlink_to(tmp_path / "real.json")
+        assert run_cli(capsys, *argv, f"--out={target}")[0] == 0
+        assert target.is_symlink() and (tmp_path / "real.json").read_text() == out
 
     def test_newlines_are_bare_lf(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1", "--n-max=2")

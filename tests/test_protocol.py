@@ -323,19 +323,15 @@ class TestIntegerTally:
             return (bell, "00") if message == "11" else (bell, message)
 
         monkeypatch.setattr(protocol, "decode", broken_decode)
-        protocol._tally_plan.cache_clear()
-        try:
-            shots = 70_000
-            bits = np.random.Philox(key=np.array([8, 0], dtype=np.uint64))
-            u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
-            p = survival_probability(AnalyzerKind.DQZ, BellState.PSI_MINUS, 12)
-            sent_11 = np.minimum((u[:, 0] * 4).astype(np.int64), 3) == 3
-            expected = int(np.count_nonzero(sent_11 & (u[:, 1] < p)))
-            uniform = simulate(AnalyzerKind.DQZ, 12, shots, 8, threads=2)
-            assert uniform.decode_error_count == expected > 0
-            assert uniform.correct == survived_count(uniform) - expected
-            fixed = simulate(AnalyzerKind.DQZ, 12, shots, 8, message="11")
-            assert fixed.decode_error_count == survived_count(fixed) > 0
-            assert fixed.correct == 0
-        finally:
-            protocol._tally_plan.cache_clear()
+        shots = 70_000
+        bits = np.random.Philox(key=np.array([8, 0], dtype=np.uint64))
+        u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
+        p = survival_probability(AnalyzerKind.DQZ, BellState.PSI_MINUS, 12)
+        sent_11 = np.minimum((u[:, 0] * 4).astype(np.int64), 3) == 3
+        expected = int(np.count_nonzero(sent_11 & (u[:, 1] < p)))
+        uniform = simulate(AnalyzerKind.DQZ, 12, shots, 8, threads=2)
+        assert uniform.decode_error_count == expected > 0
+        assert uniform.correct == survived_count(uniform) - expected
+        fixed = simulate(AnalyzerKind.DQZ, 12, shots, 8, message="11")
+        assert fixed.decode_error_count == survived_count(fixed) > 0
+        assert fixed.correct == 0
