@@ -33,7 +33,7 @@ import numpy as np
 from .bell import ALL_BELL_STATES, BellState
 from .core import OutcomeDistribution, PureState, hadamard
 from .ifm import AbsorberState, blocked_survival
-from .optics import CycleAngle, beam_splitter, cycle_counts
+from .optics import CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
 from .zeno import cycle_survival, dqz_apply
 
 ELECTRON_DETECTORS = ("D1", "D2")
@@ -180,26 +180,14 @@ def ifm_stage1_evolve(bell: BellState, n_cycles: int) -> tuple[PureState, float]
     one electron path. Returns the unnormalized surviving state and its
     survival probability.
     """
-    angles = CycleAngle(n_cycles)
-    rot = beam_splitter(angles.theta).matrix.real
-    amps = ifm_bell_input(bell).amplitudes.copy()
-    index = {label: i for i, label in enumerate(IFM_JOINT_LABELS)}
-
-    def pair_slots(electron, start, end):
-        return index[f"{electron},{start}"], index[f"{electron},{end}"]
-
-    chains = []
-    for electron in ELECTRON_PATHS:
-        chains.append(pair_slots(electron, "c2", "c1"))
-        chains.append(pair_slots(electron, "d2", "d1"))
-    absorb = (index["a,c1"], index["b,d1"])
-    for _ in range(n_cycles):
-        for start, end in chains:
-            a2, a1 = amps[start], amps[end]
-            amps[start] = rot[0, 0] * a2 + rot[0, 1] * a1
-            amps[end] = rot[1, 0] * a2 + rot[1, 1] * a1
-        for slot in absorb:
-            amps[slot] = 0.0
+    # Each electron path carries a c chain and a d chain, each turning its
+    # start slot (c2, d2) toward its end slot (c1, d1); the photon slots are
+    # ordered (end, start), hence the reversed rotation. Electron a blocks the
+    # c chain, electron b the d chain.
+    rot = beam_splitter(CycleAngle(n_cycles).theta).matrix.real[::-1, ::-1]
+    absorbed = [IFM_JOINT_LABELS.index("a,c1"), IFM_JOINT_LABELS.index("b,d1")]
+    amps, _ = absorbing_cycles(np.kron(np.eye(4), rot), absorbed,
+                               ifm_bell_input(bell).amplitudes, n_cycles)
     state = PureState(IFM_JOINT_LABELS, amps, require_normalized=False)
     return state, state.norm_squared()
 

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,27 +50,10 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-@dataclass
-class RunConfig:
-    analyzers: list[AnalyzerKind]
-    n_min: int
-    n_max: int
-    shots: int | None
-    seed: int
-    fmt: str
-    out: str | None
-
-
 def _parse_analyzers(name: str) -> list[AnalyzerKind]:
     if name == "all":
         return list(AnalyzerKind)
     return [AnalyzerKind(name)]
-
-
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
 
 
 def _warn_degenerate(rows) -> None:
@@ -94,13 +76,12 @@ def _replacing_out(path: str | None):
     leaves the target as it was. Other targets (a device, a FIFO) are
     written directly.
     """
-    if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
-        stream, owned = _open_out(path)
-        try:
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as stream:
             yield stream
-        finally:
-            if owned:
-                stream.close()
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
@@ -116,29 +97,29 @@ def _replacing_out(path: str | None):
         raise
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    rows = [(kind, n) for kind in config.analyzers
-            for n in range(config.n_min, config.n_max + 1)]
+def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int | None,
+              seed: int, fmt: str, out: str | None) -> int:
+    rows = [(kind, n) for kind in analyzers for n in range(n_min, n_max + 1)]
     _warn_degenerate(rows)
-    with _replacing_out(config.out) as stream:
+    with _replacing_out(out) as stream:
         # Each row is written as soon as it is computed; the bytes equal one
         # csv.writer pass or json.dump(records, indent=2) over all rows.
-        if config.fmt == "csv":
+        if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(CSV_HEADER)
         separator = "[\n"
         for kind, n in rows:
             r_analytic = metrics.r_analytic(kind, n)
             estimate = None
-            if config.shots:
-                estimate = protocol.simulate(kind, n, config.shots, config.seed,
+            if shots:
+                estimate = protocol.simulate(kind, n, shots, seed,
                                              stream_tag=_sweep_stream_tag(kind, n))
-            if config.fmt == "csv":
+            if fmt == "csv":
                 if estimate is None:
                     writer.writerow([n, kind.value, _fmt(r_analytic), "", "", "", ""])
                 else:
                     writer.writerow([n, kind.value, _fmt(r_analytic), _fmt(estimate.r_hat),
-                                     config.shots, _fmt(estimate.ci95[0]),
+                                     shots, _fmt(estimate.ci95[0]),
                                      _fmt(estimate.ci95[1])])
                 continue
             record = {
@@ -146,14 +127,14 @@ def cmd_sweep(config: RunConfig) -> int:
                 "analyzer": kind.value,
                 "r_analytic": r_analytic,
                 "r_mc": None if estimate is None else estimate.r_hat,
-                "mc_shots": None if estimate is None else config.shots,
+                "mc_shots": None if estimate is None else shots,
                 "ci95_low": None if estimate is None else estimate.ci95[0],
                 "ci95_high": None if estimate is None else estimate.ci95[1],
             }
             # A one-element list dumps the record at its nesting depth.
             stream.write(separator + json.dumps([record], indent=2)[2:-2])
             separator = ",\n"
-        if config.fmt == "json":
+        if fmt == "json":
             stream.write("[]\n" if separator == "[\n" else "\n]\n")
     return EXIT_OK
 
@@ -175,13 +156,9 @@ def cmd_run(analyzer: AnalyzerKind, n_cycles: int, shots: int, seed: int,
         "decode_error_count": estimate.decode_error_count,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    stream, owned = _open_out(out)
-    try:
+    with _replacing_out(out) as stream:
         json.dump(record, stream, indent=2)
         stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
@@ -197,8 +174,7 @@ def cmd_compare(target_r: float, fmt: str, out: str | None) -> int:
             "beamsplitters": splitters,
             "ancilla": ancilla,
         })
-    stream, owned = _open_out(out)
-    try:
+    with _replacing_out(out) as stream:
         if fmt == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")
@@ -208,9 +184,6 @@ def cmd_compare(target_r: float, fmt: str, out: str | None) -> int:
             for row in rows:
                 writer.writerow([row["analyzer"], row["min_n"], row["beamsplitters"],
                                  "yes" if row["ancilla"] else "no"])
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
@@ -364,17 +337,20 @@ def run_selftest(inject_fault: str | None = None) -> int:
 # argument parsing
 
 
+def uint64(text: str) -> int:
+    """The --seed type: argparse reports a value outside [0, 2**64) as a usage error."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError("must be a 64-bit unsigned integer")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenodense",
         description="Superdense-coding throughput simulator (dual-Zeno, IFM, and QZ Bell analyzers)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="throughput as a function of the cycle count")
     kinds = tuple(kind.value for kind in AnalyzerKind)
@@ -383,13 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--shots", type=int, default=None,
                          help="add a Monte-Carlo estimate per row")
-    add_common(p_sweep)
+    p_sweep.add_argument("--seed", type=uint64, default=0, help="64-bit master seed (default 0)")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_run = sub.add_parser("run", help="one Monte-Carlo session, JSON record")
     p_run.add_argument("--analyzer", choices=kinds, required=True)
     p_run.add_argument("--n", type=int, required=True)
     p_run.add_argument("--shots", type=int, required=True)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=uint64, default=0)
     p_run.add_argument("--message", default="uniform",
                        help="fixed two-bit message or 'uniform' (default)")
     p_run.add_argument("--out", default=None)
@@ -414,18 +392,13 @@ def main(argv=None) -> int:
                 parser.error(f"need 1 <= --n-min <= --n-max <= {metrics.MAX_CURVE_CYCLES}")
             if args.shots is not None and args.shots < 1:
                 parser.error("--shots must be >= 1")
-            if not 0 <= args.seed < 2**64:
-                parser.error("--seed must be a 64-bit unsigned integer")
-            config = RunConfig(_parse_analyzers(args.analyzer), args.n_min, args.n_max,
-                               args.shots, args.seed, args.format, args.out)
-            return cmd_sweep(config)
+            return cmd_sweep(_parse_analyzers(args.analyzer), args.n_min, args.n_max,
+                             args.shots, args.seed, args.format, args.out)
         if args.command == "run":
             if args.message != "uniform" and args.message not in protocol.MESSAGES:
                 parser.error("--message must be 00, 01, 10, 11, or uniform")
             if args.n < 1 or args.shots < 1:
                 parser.error("need --n >= 1 and --shots >= 1")
-            if not 0 <= args.seed < 2**64:
-                parser.error("--seed must be a 64-bit unsigned integer")
             return cmd_run(AnalyzerKind(args.analyzer), args.n, args.shots, args.seed,
                            args.message, args.out)
         if args.command == "compare":

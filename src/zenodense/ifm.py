@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OutcomeDistribution, PureState
-from .optics import PATH_LABELS, CycleAngle, beam_splitter, cycle_counts
+from .optics import PATH_LABELS, CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
 
 PHOTON_IN_A, PHOTON_IN_B, ABSORBED = "photon_in_a", "photon_in_b", "absorbed"
 
@@ -79,17 +79,16 @@ def blocked_survival(n_cycles):
 
 
 def blocked_survival_sim(n_cycles: int) -> float:
-    """Blocked-chain survival by explicit per-cycle rotation and projection.
+    """Blocked-chain survival from the per-cycle element map raised to the
+    N-th power; the map is the beam-splitter rotation, then projection onto
+    path a.
 
     Independent of the closed form above on purpose; the two are compared in
     tests at 1e-10.
     """
-    angles = CycleAngle(n_cycles)
-    bs = beam_splitter(angles.theta).matrix.real
-    v = np.array([1.0, 0.0])
-    for _ in range(n_cycles):
-        v = bs @ v
-        v[1] = 0.0  # amplitude in path b is absorbed by the object
+    bs = beam_splitter(CycleAngle(n_cycles).theta).matrix.real
+    # amplitude in path b is absorbed by the object
+    v, _ = absorbing_cycles(bs, [1], np.array([1.0, 0.0]), n_cycles)
     return float(v[0] ** 2)
 
 
@@ -119,18 +118,10 @@ def ifm_joint_amplitudes(n_cycles: int, absorber: AbsorberState) -> tuple[np.nda
     which-path marker, so entanglement generated between object and photon is
     kept rather than mixed away.
     """
-    angles = CycleAngle(n_cycles)
-    bs = beam_splitter(angles.theta).matrix
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = absorber.pass_amplitude
-    amps[2] = absorber.block_amplitude
-    lost = 0.0
-    for _ in range(n_cycles):
-        amps[0:2] = bs @ amps[0:2]
-        amps[2:4] = bs @ amps[2:4]
-        lost += abs(amps[3]) ** 2
-        amps[3] = 0.0  # block branch absorbs whatever reached path b
-    return amps, float(lost)
+    bs = beam_splitter(CycleAngle(n_cycles).theta).matrix
+    amps = np.array([absorber.pass_amplitude, 0.0, absorber.block_amplitude, 0.0])
+    # the block branch absorbs whatever reaches path b
+    return absorbing_cycles(np.kron(np.eye(2), bs), [3], amps, n_cycles)
 
 
 def ifm_detect(n_cycles: int, absorber: AbsorberState) -> OutcomeDistribution:

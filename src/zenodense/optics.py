@@ -50,6 +50,21 @@ def cycle_counts(n_cycles) -> np.ndarray:
     return n
 
 
+def absorbing_cycles(cycle, absorbed, amplitudes, n_cycles: int) -> tuple[np.ndarray, float]:
+    """N cycles of the unitary `cycle`, each followed by absorption of the `absorbed` slots.
+
+    Absorption zeroes the absorbed rows of the cycle matrix, so the N cycles
+    are that per-cycle element map raised to the N-th power. Returns the
+    surviving (unnormalized) amplitudes and the lost weight |in|^2 - |out|^2,
+    which is the summed per-cycle absorption because `cycle` keeps the norm.
+    """
+    step = np.array(cycle)
+    step[list(absorbed)] = 0.0
+    out = np.linalg.matrix_power(step, n_cycles) @ amplitudes
+    lost = np.vdot(amplitudes, amplitudes).real - np.vdot(out, out).real
+    return out, max(float(lost), 0.0)
+
+
 def _check_angle(theta: float) -> float:
     theta = float(theta)
     if not 0.0 < theta <= np.pi / 2.0 + 1e-15:

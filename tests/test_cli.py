@@ -176,6 +176,18 @@ class TestRun:
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
 
+    def test_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["run", "--analyzer=qz", "--n=5", "--shots=3000", "--seed=9"]
+        _, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "run.json"
+        code, printed, _ = run_cli(capsys, *argv, f"--out={target}")
+        assert code == 0 and printed == ""
+        written = target.read_text()
+        assert written.endswith("}\n")
+        a, b = json.loads(out), json.loads(written)
+        a.pop("timestamp"), b.pop("timestamp")
+        assert a == b
+
     def test_invalid_message_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--analyzer=dqz", "--n=5", "--shots=10", "--message=7"])
@@ -239,6 +251,15 @@ class TestCompare:
         assert code == 0
         assert all(row["min_n"] > 10**6 for row in json.loads(out))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, fmt):
+        argv = ["compare", "--target-r=1.8", f"--format={fmt}"]
+        _, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "compare.out"
+        code, printed, _ = run_cli(capsys, *argv, f"--out={target}")
+        assert code == 0 and printed == ""
+        assert target.read_text() == out
+
     def test_out_of_range_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--target-r=2.5"])
@@ -298,6 +319,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--analyzer=dqz", "--n-min=5", "--n-max=2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--analyzer=dqz", "--n-min=1", "--n-max=2", "--shots=10"],
+        ["run", "--analyzer=dqz", "--n=2", "--shots=10"],
+    ], ids=["sweep", "run"])
+    def test_seed_outside_64_bits_exits_two(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--seed={seed}"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_n_max_beyond_curve_cap_exits_two(self, capsys):
         # Past 10**6 cycles the per-row stream tags would head for collisions.

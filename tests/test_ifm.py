@@ -64,7 +64,7 @@ class TestIfmEvolve:
 
 
 class TestBlockedSurvivalOracle:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 100, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 100, 512, 50_000])
     def test_closed_form_matches_per_cycle_projection(self, n):
         assert abs(blocked_survival(n) - blocked_survival_sim(n)) < 1e-10
 

@@ -1,13 +1,19 @@
 """Optical element constructors and their composition identities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zenodense import analyzers, ifm, zeno
+from zenodense.bell import BellState
 from zenodense.core import apply_operator, unitarity_defect, PureState
+from zenodense.ifm import AbsorberState
 from zenodense.optics import (
     CycleAngle,
+    absorbing_cycles,
     beam_splitter,
     pbs_route,
     polarization_rotator,
@@ -114,3 +120,62 @@ class TestRotatorPbsComposition:
         theta = CycleAngle(n).theta
         composite = rotator_pbs_arm_matrix(axis, theta)
         assert np.max(np.abs(composite - beam_splitter(theta).matrix)) < 1e-12
+
+
+def oracle_cycle_maps(n):
+    """The per-cycle maps the five element oracles hand to absorbing_cycles at N cycles."""
+    maps = []
+
+    def spy(cycle, absorbed, amplitudes, n_cycles):
+        maps.append(np.array(cycle))
+        return absorbing_cycles(cycle, absorbed, amplitudes, n_cycles)
+
+    with mock.patch.object(zeno, "absorbing_cycles", spy), \
+            mock.patch.object(ifm, "absorbing_cycles", spy), \
+            mock.patch.object(analyzers, "absorbing_cycles", spy):
+        photon = PureState(("H", "V"), [1.0, 0.0])
+        for n_cycles in (n, None):
+            zeno.qz_gate("V", n_cycles, AbsorberState.blocking(), photon)
+            zeno.dqz_element_sim(BellState.PSI_MINUS.ket(), n_cycles)
+        ifm.blocked_survival_sim(n)
+        ifm.ifm_joint_amplitudes(n, AbsorberState.blocking())
+        analyzers.ifm_stage1_evolve(BellState.PHI_PLUS, n)
+    return maps
+
+
+def rotate_then_absorb(cycle, absorbed, amplitudes, n_cycles):
+    """The element step written out: rotate, then absorb what reached the absorbed slots."""
+    v = np.array(amplitudes, dtype=complex)
+    lost = 0.0
+    for _ in range(n_cycles):
+        v = cycle @ v
+        lost += float(np.sum(np.abs(v[absorbed]) ** 2))
+        v[absorbed] = 0.0
+    return v, lost
+
+
+class TestAbsorbingCycles:
+    def test_oracles_use_unitary_maps(self):
+        maps = oracle_cycle_maps(7)
+        assert len(maps) == 7
+        for cycle in maps:
+            assert unitarity_defect(cycle) < 1e-12
+
+    @given(st.integers(1, 64), st.integers(0, 6), st.data())
+    def test_matches_explicit_rotate_then_absorb_loop(self, n, which, data):
+        cycle = oracle_cycle_maps(n)[which]
+        dim = len(cycle)
+        absorbed = sorted(data.draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
+        amplitudes = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+        out, lost = absorbing_cycles(cycle, absorbed, amplitudes, n)
+        expected, expected_lost = rotate_then_absorb(cycle, absorbed, amplitudes, n)
+        assert np.max(np.abs(out - expected)) < 1e-12
+        assert abs(lost - expected_lost) < 1e-12
+
+    def test_leaves_its_inputs_alone(self):
+        cycle = beam_splitter(CycleAngle(4).theta).matrix
+        before = cycle.copy()
+        amplitudes = np.array([1.0, 0.0])
+        absorbing_cycles(cycle, [1], amplitudes, 4)
+        assert np.array_equal(cycle, before) and np.array_equal(amplitudes, [1.0, 0.0])

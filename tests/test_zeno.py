@@ -135,7 +135,7 @@ class TestQzGateAsymptotic:
 
 class TestQzGateFiniteN:
     def test_block_branch_survival_decays_per_cycle(self):
-        for n in (1, 4, 32, 200):
+        for n in (1, 4, 32, 200, 50_000):
             dist = qz_gate("H", n, AbsorberState.blocking(), photon(1, 0))
             expected = np.cos(np.pi / (2 * n)) ** (2 * n)
             assert dist.probability(("block", "H")) == pytest.approx(expected, abs=1e-12)
@@ -196,7 +196,7 @@ class TestElementOracleVsChannel:
     feeds the absorber. The tests pin that exact relationship."""
 
     @pytest.mark.parametrize("bell", ALL_BELL_STATES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64, 50_000])
     def test_element_survival_closed_form(self, bell, n):
         micro = dqz_element_survival(bell, n)
         expected = 0.5 * (1 + np.cos(np.pi / (2 * n)) ** (2 * n))
