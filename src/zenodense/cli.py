@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 self-test failure, 2 argument error, 3 I/O error.
 All randomness flows from --seed; SDC_THREADS (positive integer, capped at
-the CPU count) sets shot parallelism without changing a single drawn number.
+the CPU count) sets shot and row parallelism without changing a single drawn
+number.
 CSV uses the fixed header N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high
 with at least six significant digits and bare \n newlines.
 """
@@ -101,19 +102,21 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
               seed: int, fmt: str, out: str | None) -> int:
     rows = [(kind, n) for kind in analyzers for n in range(n_min, n_max + 1)]
     _warn_degenerate(rows)
-    with _replacing_out(out) as stream:
+    if shots:
+        estimates = protocol.run_rows([(kind, n, _sweep_stream_tag(kind, n)) for kind, n in rows],
+                                      shots, seed)
+    else:
+        estimates = (None for _ in rows)
+    # Closing the runner first stops its pool when a row fails to be written.
+    with _replacing_out(out) as stream, contextlib.closing(estimates):
         # Each row is written as soon as it is computed; the bytes equal one
         # csv.writer pass or json.dump(records, indent=2) over all rows.
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(CSV_HEADER)
         separator = "[\n"
-        for kind, n in rows:
+        for (kind, n), estimate in zip(rows, estimates, strict=True):
             r_analytic = metrics.r_analytic(kind, n)
-            estimate = None
-            if shots:
-                estimate = protocol.simulate(kind, n, shots, seed,
-                                             stream_tag=_sweep_stream_tag(kind, n))
             if fmt == "csv":
                 if estimate is None:
                     writer.writerow([n, kind.value, _fmt(r_analytic), "", "", "", ""])
@@ -295,6 +298,16 @@ def _check_decode_roundtrip() -> str | None:
     return None
 
 
+def _check_mis_decoding_classes() -> str | None:
+    for kind in AnalyzerKind:
+        live = tuple(index for index, message in enumerate(protocol.MESSAGES)
+                     if protocol.decode(click_pair(kind, protocol.encode(message)), kind)[1]
+                     != message)
+        if live != protocol._MIS_DECODED[kind]:
+            return f"{kind.value}: constant {protocol._MIS_DECODED[kind]}, live round trip {live}"
+    return None
+
+
 def run_selftest(inject_fault: str | None = None) -> int:
     """Run the invariant suite; returns the process exit code."""
     channels = {}
@@ -313,6 +326,7 @@ def run_selftest(inject_fault: str | None = None) -> int:
         ("golden-decode-table", _check_golden_decode),
         ("golden-thresholds", _check_golden_thresholds),
         ("decode-roundtrip", _check_decode_roundtrip),
+        ("mis-decoding-classes", _check_mis_decoding_classes),
     ]
     failures = 0
     for name, check in checks:

@@ -8,11 +8,14 @@ labels it expects; silent index conventions are how sign bugs happen.
 
 All values are immutable after construction and every operation is pure,
 so states and operators are safe to share across threads. The only mutable
-object anywhere is a per-shot RNG stream owned by a single shot.
+objects anywhere are per-shot RNG streams, each owned by a single shot or
+by a single thread.
 
 Randomness is counter-based: shot i owns the i-th Philox block of four
 64-bit words. `shot_stream` reads it as uniform doubles for the per-shot
-runner; `shot_uniforms` hands the raw words of many shots to the vectorized
+runner (a caller that is done with a stream before its thread asks for the
+next one may re-key the thread's own generator instead of building one);
+`shot_uniforms` hands the raw words of many shots to the vectorized
 Monte-Carlo, which uses words 0 and 1 and compares their top bits against
 integer thresholds. Uniform j of a shot is (word j >> 11) * 2**-53, numpy's
 own Philox double, so the integer and the float comparison decide every
@@ -21,6 +24,7 @@ shot identically.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -338,28 +342,63 @@ def measure(state: PureState, partition: Mapping[Any, Sequence[str]]) -> Outcome
 # reproducible per-shot randomness
 
 
-def _philox(master_seed: int, stream_tag: int = 0) -> np.random.Philox:
+def _key(master_seed: int, stream_tag: int) -> np.ndarray:
     seed = int(master_seed)
     tag = int(stream_tag)
     if not 0 <= seed < 2**64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
     if not 0 <= tag < 2**64:
         raise ValueError("stream_tag must be a 64-bit unsigned integer")
-    return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
+    return np.array([seed, tag], dtype=np.uint64)
 
 
-def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.random.Generator:
+def _philox(master_seed: int, stream_tag: int = 0) -> np.random.Philox:
+    return np.random.Philox(key=_key(master_seed, stream_tag))
+
+
+_WORD = (1 << 64) - 1
+_thread_streams = threading.local()
+
+
+def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0, *,
+                reuse: bool = False) -> np.random.Generator:
     """Counter-based RNG stream for one shot.
 
     Shot i owns exactly the i-th Philox block (DRAWS_PER_SHOT uniform
     doubles), so identical (master_seed, shot_index) always reproduce the
     identical trajectory no matter how shots are batched or parallelized.
+
+    The caller owns the returned generator. With reuse=True it gets the
+    calling thread's own generator instead, re-keyed to this shot (about a
+    third of the cost of building one); it draws the same numbers, but only
+    until the same thread asks for another reused stream.
     """
     if shot_index < 0:
         raise ValueError("shot_index must be non-negative")
-    bits = _philox(master_seed, stream_tag)
-    bits.advance(int(shot_index))
-    return np.random.Generator(bits)
+    if not reuse:
+        bits = _philox(master_seed, stream_tag)
+        bits.advance(int(shot_index))
+        return np.random.Generator(bits)
+    key = _key(master_seed, stream_tag)
+    try:
+        rng = _thread_streams.rng
+    except AttributeError:
+        rng = _thread_streams.rng = np.random.Generator(np.random.Philox(key=key))
+    # Philox steps its 256-bit counter before it fills the empty buffer, so
+    # counter i with buffer_pos 4 draws block i, as advance(i) from counter 0
+    # does (modulo 2**256 in both cases).
+    i = int(shot_index)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([(i >> shift) & _WORD for shift in (0, 64, 128, 192)],
+                                      dtype=np.uint64),
+                  "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,

@@ -9,21 +9,26 @@ r_hat = 2 * (surviving and correctly decoded) / shots.
 Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
 counter-based stream. `run_protocol` (one shot at a time) compares the
-uniforms as floats; `simulate` (vectorized, optionally threaded) compares the
-raw Philox words they are made from against integer thresholds, which
-decides every shot the same way.
+uniforms as floats; `run_rows` (vectorized, optionally threaded, many rows
+of a sweep at once) and `simulate` (its one-row case) compare the raw Philox
+words they are made from against integer thresholds, which decides every
+shot the same way.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .analyzers import (
+    ANALYZERS,
     AnalyzerKind,
     AnalyzerOutcome,
     BellState,
@@ -159,7 +164,7 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
     uniform-message runs stay stream-aligned with `simulate`.
     """
     analyzer = AnalyzerKind(analyzer)
-    rng = shot_stream(master_seed, shot_index)
+    rng = shot_stream(master_seed, shot_index, reuse=True)
     u_message = float(rng.random())
     if message == "uniform":
         message = MESSAGES[min(int(u_message * 4), 3)]
@@ -174,7 +179,7 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """Worker threads for `simulate`: the argument, else SDC_THREADS, else 1.
+    """Worker threads for `run_rows`: the argument, else SDC_THREADS, else 1.
 
     Capped at the CPU count: one thread per core is the most the tally can
     use, and the cap bounds the pool however large the request.
@@ -193,6 +198,34 @@ def _resolve_threads(threads: int | None) -> int:
 
 _CHUNK_SHOTS = 1 << 16
 
+# Work units of fewer shots run serially whatever the thread count. Measured
+# on 2 threads of a 2-vCPU VM, 600-row sweeps: units of 10,000 and 20,000
+# shots ran 1.1-1.8x faster on the pool, units of 2,000 and 5,000 shots
+# 0.7-1.0x as fast.
+_FANOUT_SHOTS = 10_000
+
+# Units in flight per worker thread: enough to keep every worker busy while
+# the caller takes a finished row, few enough that a failure stops the run
+# after little wasted work.
+_WINDOW_PER_THREAD = 2
+
+# Message indices whose surviving click pair decodes to another message, per
+# analyzer. `click_pair` ignores N, so the classes do not either; the test
+# suite and `selftest` check them against the live decode round trip.
+_MIS_DECODED: dict[AnalyzerKind, tuple[int, ...]] = {kind: () for kind in AnalyzerKind}
+
+
+def _survival_inputs(kind: AnalyzerKind) -> tuple[BellState, ...]:
+    # Per message, a Bell input with the same survival probability: the
+    # inputs differ only through a Phi factor, and then only by family.
+    if ANALYZERS[kind].phi_factor is None:
+        return (BellState.PHI_PLUS,) * len(MESSAGES)
+    return tuple(BellState.PHI_PLUS if encode(msg).family == "phi" else BellState.PSI_PLUS
+                 for msg in MESSAGES)
+
+
+_SURVIVAL_INPUTS = {kind: _survival_inputs(kind) for kind in AnalyzerKind}
+
 
 def _survival_threshold(p: float) -> int:
     """ceil(p * 2**53), with p clipped to [0, 1].
@@ -204,77 +237,65 @@ def _survival_threshold(p: float) -> int:
     return math.ceil(min(max(p, 0.0), 1.0) * 2.0**53)
 
 
-def _tally_plan(analyzer: AnalyzerKind, n_cycles: int,
-                message: str | None) -> tuple[np.uint64 | np.ndarray, tuple[int, ...]]:
-    """Per-session constants of the Monte-Carlo tally: (threshold, wrong).
+class _TallyPlan(NamedTuple):
+    """Per-row constants of the Monte-Carlo tally.
 
     `threshold` is the uint64 survival threshold, a scalar when every message
     sent shares it and else an array indexed by message. `wrong` lists the
-    message indices whose deterministic surviving click pair decodes to
-    another message.
+    sent message indices that mis-decode; `fixed` says one message is sent,
+    so word 0 does not pick it.
     """
-    sent = MESSAGES if message is None else (message,)
-    limits = [_survival_threshold(survival_probability(analyzer, encode(msg), n_cycles))
-              for msg in sent]
+
+    threshold: np.uint64 | np.ndarray
+    wrong: tuple[int, ...]
+    fixed: bool
+
+
+def _tally_plan(analyzer: AnalyzerKind, n_cycles: int, message: str | None) -> _TallyPlan:
+    """The row's plan, from one scalar `survival_probability` per survival law.
+
+    Each law is evaluated as a 0-d array, as `survival_probability` always
+    does: a 1-d evaluation of the ifm Phi law differs by one ulp at some N
+    (18, 36, 51, ...), which moves the threshold by one.
+    """
+    sent = range(len(MESSAGES)) if message is None else (MESSAGES.index(message),)
+    inputs = [_SURVIVAL_INPUTS[analyzer][index] for index in sent]
+    p = {bell: survival_probability(analyzer, bell, n_cycles) for bell in set(inputs)}
+    limits = [_survival_threshold(p[bell]) for bell in inputs]
     if len(set(limits)) == 1:
         threshold = np.uint64(limits[0])
     else:
         threshold = np.array(limits, dtype=np.uint64)
-    wrong = tuple(MESSAGES.index(msg) for msg in sent
-                  if decode(click_pair(analyzer, encode(msg)), analyzer)[1] != msg)
-    return threshold, wrong
+    wrong = tuple(index for index in _MIS_DECODED[analyzer] if index in sent)
+    return _TallyPlan(threshold, wrong, message is not None)
 
 
-def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,
-             message: str | None = None, stream_tag: int = 0,
-             threads: int | None = None) -> EfficiencyEstimate:
-    """Monte-Carlo session over `shots` i.i.d. runs.
-
-    Messages are drawn uniformly per shot unless `message` fixes one. The
-    per-shot trajectories equal run_protocol's exactly; evaluation is
-    chunked (and optionally threaded via SDC_THREADS) without changing a
-    single draw, and the aggregation is an order-independent sum of counts.
-    """
-    analyzer = AnalyzerKind(analyzer)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if message is not None and message not in MESSAGES:
-        raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
-    threads = _resolve_threads(threads)
-    threshold, wrong = _tally_plan(analyzer, n_cycles, message)
-
-    def tally(start: int, count: int) -> np.ndarray:
-        words = shot_uniforms(master_seed, start, count, stream_tag)
-        # Word 1's top 53 bits decide survival and word 0's top two bits pick
-        # the message; a fixed message still burns word 0.
-        drawn = words[:, 1] >> 11
-        if threshold.ndim == 0:
-            survived = drawn < threshold
-        else:
-            survived = drawn < threshold[words[:, 0] >> 62]
-        n_survived = int(np.count_nonzero(survived))
-        # The surviving pair is deterministic per message, so decode errors
-        # are the survivors among the message classes that mis-decode.
-        if not wrong:
-            n_errors = 0
-        elif message is not None:
-            n_errors = n_survived
-        else:
-            n_errors = int(np.count_nonzero(survived & np.isin(words[:, 0] >> 62, wrong)))
-        # counts: [survived, correct, decode errors]
-        return np.array([n_survived, n_survived - n_errors, n_errors], dtype=np.int64)
-
-    chunks = [(start, min(_CHUNK_SHOTS, shots - start))
-              for start in range(0, shots, _CHUNK_SHOTS)]
-    if threads == 1 or len(chunks) == 1:
-        totals = sum((tally(start, count) for start, count in chunks),
-                     np.zeros(3, dtype=np.int64))
+def _tally(master_seed: int, stream_tag: int, start: int, count: int,
+           plan: _TallyPlan) -> tuple[int, int]:
+    """One work unit: (survivors, decode errors) among shots [start, start + count)."""
+    words = shot_uniforms(master_seed, start, count, stream_tag)
+    # Word 1's top 53 bits decide survival and word 0's top two bits pick
+    # the message; a fixed message still burns word 0.
+    drawn = words[:, 1] >> 11
+    if plan.threshold.ndim == 0:
+        survived = drawn < plan.threshold
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            totals = sum(pool.map(lambda c: tally(*c), chunks),
-                         np.zeros(3, dtype=np.int64))
+        survived = drawn < plan.threshold[words[:, 0] >> 62]
+    n_survived = int(np.count_nonzero(survived))
+    # The surviving pair is deterministic per message, so decode errors are
+    # the survivors among the message classes that mis-decode.
+    if not plan.wrong:
+        return n_survived, 0
+    if plan.fixed:
+        return n_survived, n_survived
+    return n_survived, int(np.count_nonzero(survived & np.isin(words[:, 0] >> 62, plan.wrong)))
 
-    n_survived, n_correct, n_errors = (int(v) for v in totals)
+
+def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
+              counts: Sequence[tuple[int, int]]) -> EfficiencyEstimate:
+    n_survived = sum(survived for survived, _ in counts)
+    n_errors = sum(errors for _, errors in counts)
+    n_correct = n_survived - n_errors
     p_hat = n_correct / shots
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
     ci = (max(2.0 * (p_hat - half_width), 0.0), min(2.0 * (p_hat + half_width), 2.0))
@@ -288,3 +309,79 @@ def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int
         decode_error_count=n_errors,
         correct=n_correct,
     )
+
+
+def run_rows(rows: Sequence[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
+             message: str | None = None,
+             threads: int | None = None) -> Iterator[EfficiencyEstimate]:
+    """Monte-Carlo sessions of `shots` shots for many rows, yielded in row order.
+
+    Each row is (analyzer, n_cycles, stream_tag) and draws from its own
+    stream. Its shots are split into work units of at most 2**16. With more
+    than one thread (the argument, else SDC_THREADS) and units of at least
+    _FANOUT_SHOTS shots, the units of all rows run on one pool, a bounded
+    window of them in flight; an exception, in a unit or in the caller,
+    cancels the units not yet started. Otherwise they run in turn. Either
+    way every row's counts are an order-independent sum over its units, so
+    the results do not depend on the thread count.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if message is not None and message not in MESSAGES:
+        raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
+    rows = [(AnalyzerKind(analyzer), n_cycles, stream_tag)
+            for analyzer, n_cycles, stream_tag in rows]
+    threads = _resolve_threads(threads)
+    chunks = [(start, min(_CHUNK_SHOTS, shots - start))
+              for start in range(0, shots, _CHUNK_SHOTS)]
+    if threads == 1 or len(rows) * len(chunks) == 1 or chunks[0][1] < _FANOUT_SHOTS:
+        for analyzer, n_cycles, stream_tag in rows:
+            plan = _tally_plan(analyzer, n_cycles, message)
+            yield _estimate(analyzer, n_cycles, shots,
+                            [_tally(master_seed, stream_tag, start, count, plan)
+                             for start, count in chunks])
+        return
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    in_flight = collections.deque()  # ((analyzer, n_cycles), future), oldest first
+    counts = []  # the finished units of the oldest unfinished row
+
+    def settle(limit):
+        # Wait for the oldest units until at most `limit` are in flight, and
+        # yield each row whose last unit that finishes.
+        while len(in_flight) > limit:
+            (analyzer, n_cycles), future = in_flight.popleft()
+            counts.append(future.result())
+            if len(counts) == len(chunks):
+                yield _estimate(analyzer, n_cycles, shots, counts)
+                counts.clear()
+
+    window = _WINDOW_PER_THREAD * threads
+    try:
+        for analyzer, n_cycles, stream_tag in rows:
+            plan = _tally_plan(analyzer, n_cycles, message)
+            for start, count in chunks:
+                yield from settle(window - 1)
+                in_flight.append(((analyzer, n_cycles),
+                                  pool.submit(_tally, master_seed, stream_tag, start, count, plan)))
+        yield from settle(0)
+    except BaseException:
+        # Units already running finish on their own; their counts are dropped.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,
+             message: str | None = None, stream_tag: int = 0,
+             threads: int | None = None) -> EfficiencyEstimate:
+    """Monte-Carlo session over `shots` i.i.d. runs: `run_rows` for one row.
+
+    Messages are drawn uniformly per shot unless `message` fixes one. The
+    per-shot trajectories equal run_protocol's exactly; evaluation is
+    chunked (and optionally threaded via SDC_THREADS) without changing a
+    single draw, and the aggregation is an order-independent sum of counts.
+    """
+    (estimate,) = run_rows([(analyzer, n_cycles, stream_tag)], shots, master_seed,
+                           message=message, threads=threads)
+    return estimate

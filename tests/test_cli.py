@@ -1,9 +1,12 @@
 """CLI harness: schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+import os
 import sys
+import threading
 
 import pytest
 
@@ -112,14 +115,14 @@ class TestSweep:
                                                       fmt, error):
         target = tmp_path / "sweep.out"
         target.write_text("earlier result\n")
-        real_simulate = protocol.simulate
+        real_plan = protocol._tally_plan
 
-        def failing_simulate(kind, n, *args, **kwargs):
+        def failing_plan(kind, n, message):
             if n == 3:
                 raise error("row 3 failed")
-            return real_simulate(kind, n, *args, **kwargs)
+            return real_plan(kind, n, message)
 
-        monkeypatch.setattr(protocol, "simulate", failing_simulate)
+        monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
         argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=4", "--shots=100",
                 f"--format={fmt}", f"--out={target}"]
         if error is KeyboardInterrupt:
@@ -129,6 +132,114 @@ class TestSweep:
             assert run_cli(capsys, *argv)[0] == 2
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
+
+    @pytest.mark.parametrize("seam", ["plan", "write"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_pooled_sweep_leaves_the_target_as_it_was(self, capsys, monkeypatch,
+                                                             tmp_path, fmt, error, seam):
+        # Each row has two units. The units of rows from `held_from` on wait
+        # until the sweep has returned, and the failure comes once two of
+        # them hold both workers, so a unit still queued then stays unstarted
+        # only if the failure cancels it.
+        #   plan:  the runner's plan for row 3 fails; row 1's units hold the
+        #          workers and row 2's are queued.
+        #   write: writing row 1 fails; row 2's units hold the workers and
+        #          row 3's first unit is queued.
+        held_from, fail_row = (1, 3) if seam == "plan" else (2, 1)
+        monkeypatch.setenv("SDC_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        target = tmp_path / "sweep.out"
+        target.write_text("earlier result\n")
+        events, workers = [], set()
+        two_held, release = threading.Semaphore(0), threading.Event()
+        real_uniforms = protocol.shot_uniforms
+        real_plan = protocol._tally_plan
+        real_r_analytic = metrics.r_analytic
+
+        def held_uniforms(seed, start, count, tag=0):
+            n = tag % (1 << 32)
+            events.append(("unit", n, start))
+            if n >= held_from:
+                workers.add(threading.current_thread())
+                two_held.release()
+                assert release.wait(30)
+            return real_uniforms(seed, start, count, tag)
+
+        def fail(n):
+            assert two_held.acquire(timeout=30) and two_held.acquire(timeout=30)
+            events.append(("failed", n))
+            raise error(f"row {n} failed")
+
+        def failing_plan(kind, n, message):
+            if seam == "plan" and n == fail_row:
+                fail(n)
+            return real_plan(kind, n, message)
+
+        def failing_r_analytic(kind, n):
+            if seam == "write" and n == fail_row:
+                fail(n)
+            return real_r_analytic(kind, n)
+
+        monkeypatch.setattr(protocol, "shot_uniforms", held_uniforms)
+        monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
+        monkeypatch.setattr(metrics, "r_analytic", failing_r_analytic)
+        shots = protocol._CHUNK_SHOTS + protocol._FANOUT_SHOTS
+        argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=6", f"--shots={shots}",
+                f"--format={fmt}", f"--out={target}"]
+        excinfo = None
+        try:
+            if error is KeyboardInterrupt:
+                # Holding the traceback keeps the sweep's frame and its runner
+                # alive, so the units must be cancelled before it is collected.
+                with pytest.raises(KeyboardInterrupt) as excinfo:
+                    main(argv)
+            else:
+                assert run_cli(capsys, *argv)[0] == 2
+        finally:
+            release.set()
+        for worker in workers:
+            worker.join(30)
+            assert not worker.is_alive()
+        assert excinfo is None or str(excinfo.value) == f"row {fail_row} failed"
+        assert target.read_text() == "earlier result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
+        assert events[-1] == ("failed", fail_row)
+        assert sorted(events[:-1]) == [("unit", n, start) for n in range(1, held_from + 1)
+                                       for start in (0, protocol._CHUNK_SHOTS)]
+
+    # sha256 of the output bytes, recorded before the rows shared a pool.
+    POOLED_GRIDS = [
+        (["--n-min=1", "--n-max=8", "--shots=20000", "--seed=3"],
+         "15efb27c87ce9f0922f610d2c0e45a9b5239c5d5028163e2f7805bbd438cccc8"),
+        (["--n-min=1", "--n-max=3", "--shots=70000", "--seed=4"],
+         "1bd7d96cc40b5e20df871b156af941669987eddc86d9ed389177a5a3acbe9844"),
+        (["--n-min=1", "--n-max=8", "--shots=20000", "--seed=3", "--format=json"],
+         "8d585e41c4358b8b0127e3d46cea1da1c7f8a7bb5c2b514527e019f06215dc9a"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", POOLED_GRIDS)
+    def test_pooled_rows_keep_every_byte(self, capsys, monkeypatch, args, digest):
+        assert 20_000 >= protocol._FANOUT_SHOTS
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        real_uniforms = protocol.shot_uniforms
+        unit_threads = set()
+
+        def spy(*call):
+            unit_threads.add(threading.current_thread())
+            return real_uniforms(*call)
+
+        monkeypatch.setattr(protocol, "shot_uniforms", spy)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SDC_THREADS", threads)
+            unit_threads.clear()
+            code, outputs[threads], _ = run_cli(capsys, "sweep", "--analyzer=all", *args)
+            assert code == 0
+            pooled = unit_threads != {threading.main_thread()}
+            assert pooled == (threads == "2")
+        assert outputs["1"] == outputs["2"]
+        assert hashlib.sha256(outputs["2"].encode()).hexdigest() == digest
 
     def test_output_through_a_symlink_equals_stdout(self, capsys, tmp_path):
         argv = ["sweep", "--analyzer=all", "--n-min=1", "--n-max=3", "--shots=200",
@@ -287,8 +398,16 @@ class TestSelftest:
             "FAIL golden-decode-table: raised ValueError: invalid detector pair D2*D6 for dqz"]
         for name in ("operator-orthogonality", "channel-trace-preservation",
                      "bell-target-fidelity", "analytic-vs-mc", "golden-thresholds",
-                     "decode-roundtrip"):
+                     "decode-roundtrip", "mis-decoding-classes"):
             assert f"ok   {name}" in out
+
+    def test_mis_decoding_constant_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setitem(protocol._MIS_DECODED, protocol.AnalyzerKind.QZ, (3,))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        # The Monte-Carlo then counts qz's Psi- survivors as errors, too.
+        assert "FAIL mis-decoding-classes: qz: constant (3,), live round trip ()" in out
+        assert "FAIL analytic-vs-mc: qz N=12" in out
 
     def test_fault_injection_names_the_broken_invariants(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--inject-fault=k-sign")

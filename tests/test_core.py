@@ -1,8 +1,11 @@
 """Core state/operator/measurement primitives."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zenodense.core import (
@@ -255,6 +258,71 @@ class TestShotStreams:
             shot_stream(-1, 0)
         with pytest.raises(ValueError):
             shot_stream(2**64, 0)
+
+    @given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
+           shot=st.integers(0, 2**260), other=st.integers(0, 2**70))
+    @example(seed=0, tag=0, shot=0, other=0)
+    @example(seed=2**64 - 1, tag=2**64 - 1, shot=2**64, other=2**64 - 1)
+    @example(seed=1, tag=2, shot=2**256 - 1, other=1)
+    @example(seed=1, tag=2, shot=2**256, other=1)
+    @example(seed=1, tag=2, shot=(3 << 192) | (5 << 128) | (7 << 64) | 9, other=1)
+    def test_reused_stream_equals_a_fresh_one(self, seed, tag, shot, other):
+        # Re-keying after another shot, a part-drawn block and a 32-bit draw
+        # must leave nothing of them behind.
+        rng = shot_stream(seed ^ 1, other, tag, reuse=True)
+        rng.random(3)
+        rng.integers(0, 2**31, dtype=np.int32)
+        fresh = shot_stream(seed, shot, tag)
+        reused = shot_stream(seed, shot, tag, reuse=True)
+        assert reused is rng
+        assert np.array_equal(reused.random(2 * DRAWS_PER_SHOT), fresh.random(2 * DRAWS_PER_SHOT))
+        assert reused.integers(0, 2**31, dtype=np.int32) == fresh.integers(0, 2**31,
+                                                                           dtype=np.int32)
+
+    def test_plain_streams_belong_to_the_caller(self):
+        first = shot_stream(3, 5)
+        assert shot_stream(3, 5) is not first
+        shot_stream(3, 9, reuse=True).random()
+        assert first.random() == shot_stream(3, 5).random()
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_range_errors_with_and_without_reuse(self, reuse):
+        for seed, shot, tag in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1),
+                                (0, 0, 2**64)):
+            with pytest.raises(ValueError):
+                shot_stream(seed, shot, tag, reuse=reuse)
+
+    def test_each_thread_reuses_its_own_stream(self):
+        # Four threads re-key in lockstep, switching often; each must still
+        # draw its own shots from its own generator.
+        tags = range(4)
+        barrier = threading.Barrier(len(tags), timeout=30)
+        drawn = {tag: [] for tag in tags}
+        generators = {}
+
+        def worker(tag):
+            for shot in range(200):
+                barrier.wait()
+                rng = shot_stream(17, shot, tag, reuse=True)
+                generators.setdefault(tag, rng)
+                barrier.wait()
+                drawn[tag].append(rng.random(DRAWS_PER_SHOT))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(tag,)) for tag in tags]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(rng) for rng in generators.values()}) == len(tags)
+        for tag in tags:
+            expected = as_uniforms(shot_uniforms(17, 0, 200, stream_tag=tag))
+            assert np.array_equal(np.array(drawn[tag]), expected)
 
 
 class TestDensityMatrix:

@@ -21,9 +21,11 @@ from zenodense.protocol import (
     MESSAGES,
     _resolve_threads,
     _survival_threshold,
+    _tally_plan,
     decode,
     encode,
     run_protocol,
+    run_rows,
     simulate,
 )
 
@@ -314,15 +316,10 @@ class TestIntegerTally:
             AnalyzerKind.IFM, 1, 70_000, 4)
 
     def test_mis_decoding_class_counts_its_survivors(self, monkeypatch):
-        # A decode table that sends Psi- to "00" must turn every surviving
-        # "11" shot into a decode error, and no other shot.
-        real_decode = protocol.decode
-
-        def broken_decode(clicks, analyzer=AnalyzerKind.DQZ):
-            bell, message = real_decode(clicks, analyzer)
-            return (bell, "00") if message == "11" else (bell, message)
-
-        monkeypatch.setattr(protocol, "decode", broken_decode)
+        # A decode table that sends Psi- to "00" makes "11" a mis-decoding
+        # class; every surviving "11" shot must count as a decode error, and
+        # no other shot.
+        monkeypatch.setitem(protocol._MIS_DECODED, AnalyzerKind.DQZ, (MESSAGES.index("11"),))
         shots = 70_000
         bits = np.random.Philox(key=np.array([8, 0], dtype=np.uint64))
         u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
@@ -335,3 +332,95 @@ class TestIntegerTally:
         fixed = simulate(AnalyzerKind.DQZ, 12, shots, 8, message="11")
         assert fixed.decode_error_count == survived_count(fixed) > 0
         assert fixed.correct == 0
+
+    def test_mis_decoding_classes_match_the_live_round_trip(self):
+        for kind in ALL_KINDS:
+            live = tuple(index for index, message in enumerate(MESSAGES)
+                         if decode(click_pair(kind, encode(message)), kind)[1] != message)
+            assert protocol._MIS_DECODED[kind] == live
+
+    @pytest.mark.parametrize("message", [None, *MESSAGES])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_plan_thresholds_equal_per_message_scalar_thresholds(self, kind, message):
+        sent = MESSAGES if message is None else (message,)
+        for n in (1, 2, 12, 18, 97, 1000):
+            threshold = _tally_plan(kind, n, message).threshold
+            expected = [_survival_threshold(survival_probability(kind, encode(msg), n))
+                        for msg in sent]
+            assert np.broadcast_to(threshold, len(sent)).tolist() == expected
+
+
+class TestRunRows:
+    ROWS = [(AnalyzerKind.IFM, 5, 3), (AnalyzerKind.DQZ, 12, 0), (AnalyzerKind.QZ, 2, 1 << 32),
+            (AnalyzerKind.IFM, 18, 7)]
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # Two threads must reach the pool even on a one-CPU machine.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("shots", [1, 2_000, 20_000, 70_000])
+    def test_rows_equal_one_row_sessions_at_any_thread_count(self, two_cpus, shots):
+        expected = [simulate(kind, n, shots, 5, stream_tag=tag, threads=1)
+                    for kind, n, tag in self.ROWS]
+        for threads in (1, 2):
+            assert list(run_rows(self.ROWS, shots, 5, threads=threads)) == expected
+        assert list(run_rows(self.ROWS, shots, 5, message="01", threads=2)) == [
+            simulate(kind, n, shots, 5, message="01", stream_tag=tag)
+            for kind, n, tag in self.ROWS]
+
+    @pytest.mark.parametrize("shots, pools", [(protocol._FANOUT_SHOTS - 1, 0),
+                                              (protocol._FANOUT_SHOTS, 1), (70_000, 1)])
+    def test_one_pool_per_call_and_only_from_the_shot_threshold(self, monkeypatch, two_cpus,
+                                                              shots, pools):
+        made = []
+
+        class CountingPool(protocol.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+        assert len(list(run_rows(self.ROWS, shots, 5, threads=2))) == len(self.ROWS)
+        assert len(made) == pools
+        # One row of one unit has nothing to share out.
+        simulate(AnalyzerKind.DQZ, 12, min(shots, protocol._CHUNK_SHOTS), 5, threads=2)
+        assert len(made) == pools
+
+    def test_runner_thresholds_are_scalar_evaluations(self, monkeypatch):
+        # A 1-d evaluation of the ifm Phi law is one ulp lower at these N,
+        # which would lower the threshold by one (7332208221475705 at N = 18).
+        plans = []
+        real_plan = protocol._tally_plan
+
+        def spy(*args):
+            plans.append(real_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(protocol, "_tally_plan", spy)
+        ns = (18, 36, 51)
+        list(run_rows([(AnalyzerKind.IFM, n, 0) for n in ns], 1, 0))
+        for n, plan in zip(ns, plans, strict=True):
+            phi = _survival_threshold(survival_probability(AnalyzerKind.IFM,
+                                                           BellState.PHI_PLUS, n))
+            assert int(plan.threshold[MESSAGES.index("00")]) == phi
+            assert int(plan.threshold[MESSAGES.index("10")]) == phi
+        assert int(plans[0].threshold[0]) == 7332208221475706
+
+    def test_a_failing_unit_reaches_the_caller(self, monkeypatch, two_cpus):
+        real_uniforms = protocol.shot_uniforms
+
+        def failing(seed, start, count, tag=0):
+            if tag == 1 << 32:
+                raise ValueError("unit failed")
+            return real_uniforms(seed, start, count, tag)
+
+        monkeypatch.setattr(protocol, "shot_uniforms", failing)
+        estimates = run_rows(self.ROWS, 20_000, 5, threads=2)
+        with pytest.raises(ValueError, match="unit failed"):
+            list(estimates)
+
+    def test_rejects_bad_arguments(self):
+        for shots, message, threads in ((0, None, 1), (10, "22", 1), (10, None, 0)):
+            with pytest.raises(ValueError):
+                list(run_rows(self.ROWS, shots, 1, message=message, threads=threads))
