@@ -26,11 +26,8 @@ from .core import (
     Operator,
     OutcomeDistribution,
     PureState,
-    apply_operator,
     hadamard,
-    measure,
     shot_stream,
-    tensor,
 )
 from .ifm import AbsorberState, blocked_survival, ifm_detect, ifm_evolve
 from .metrics import (

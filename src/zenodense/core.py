@@ -1,10 +1,12 @@
-"""Dense complex linear algebra and measurement primitives over small labeled Hilbert spaces.
+"""Labeled states, operators and outcome distributions, and the per-shot random streams.
 
-States, operators, and density matrices here are plain numpy arrays wrapped
-with explicit basis labels. Five different labelings float around this
-problem domain (photon paths, electron paths, polarizations, composite
-bases), so every state carries its labels and every operator can carry the
-labels it expects; silent index conventions are how sign bugs happen.
+The analyzers need a small state layer: kets over a labeled basis (Bell
+states, oracle inputs and outputs), unitary gates, the dual-Zeno channel's
+conditional density matrix and the outcome distributions a shot samples
+from. Each is a plain numpy array wrapped with its basis labels: five
+labelings float around this problem domain (photon paths, electron paths,
+polarizations, composite bases), and silent index conventions are how sign
+bugs happen.
 
 All values are immutable after construction and every operation is pure,
 so states and operators are safe to share across threads. The only mutable
@@ -34,10 +36,6 @@ import numpy as np
 # products keep double-precision error far below both bounds.
 ALGEBRA_TOL = 1e-12
 ACCUMULATION_TOL = 1e-10
-
-# Tensor products beyond this total dimension are rejected; nothing in this
-# library needs more than electron (2) x photon paths (4) = 8.
-MAX_TENSOR_DIM = 16
 
 # Every shot owns exactly one Philox block of four 64-bit words. Keeping the
 # per-shot draw budget equal to the block size makes serial, chunked, and
@@ -113,12 +111,6 @@ class PureState:
             raise ValueError("inner product requires identical bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def normalized(self) -> "PureState":
-        n = np.sqrt(self.norm_squared())
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return PureState(self.labels, self.amplitudes / n)
-
     def __repr__(self) -> str:
         terms = [
             f"({amp:.6g})|{label}>"
@@ -161,9 +153,6 @@ class Operator:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    def power(self, exponent: int) -> "Operator":
-        return Operator(np.linalg.matrix_power(self.matrix, exponent), self.labels)
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, labels={self.labels})"
 
@@ -175,17 +164,27 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(mat.conj().T @ mat - eye)))
 
 
-class DensityMatrix:
-    """Hermitian positive operator plus a scalar photon-lost weight.
+ELECTRON_LABELS = ("block", "pass")
 
-    `matrix` holds the surviving (in-flight photon) part; `lost_weight` is
-    the probability mass where the photon was absorbed and no longer has a
-    polarization to measure. Invariant: trace(matrix) + lost_weight = 1.
+
+def hadamard(labels: Sequence[str] = ELECTRON_LABELS) -> Operator:
+    """Self-inverse gate taking (|block>+|pass>)/sqrt2 -> |block> and
+    (|block>-|pass>)/sqrt2 -> |pass>."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return Operator.unitary(h, labels)
+
+
+class DensityMatrix:
+    """Hermitian positive operator of trace one over a labeled basis.
+
+    It holds a conditional state, such as the dual-Zeno channel's output
+    given that the photon survived; the weight of that condition is kept by
+    whoever conditioned on it.
     """
 
-    __slots__ = ("labels", "matrix", "lost_weight")
+    __slots__ = ("labels", "matrix")
 
-    def __init__(self, labels: Sequence[str], matrix, lost_weight: float = 0.0):
+    def __init__(self, labels: Sequence[str], matrix):
         labels = tuple(str(label) for label in labels)
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (len(labels), len(labels)):
@@ -195,22 +194,13 @@ class DensityMatrix:
         eigenvalues = np.linalg.eigvalsh(mat)
         if float(eigenvalues.min()) < -ACCUMULATION_TOL:
             raise ValueError(f"density matrix not positive (min eig {eigenvalues.min():.3e})")
-        lost = float(lost_weight)
-        if not 0.0 - ACCUMULATION_TOL <= lost <= 1.0 + ACCUMULATION_TOL:
-            raise ValueError(f"lost_weight out of [0, 1]: {lost!r}")
-        total = float(np.trace(mat).real) + lost
-        if abs(total - 1.0) > ACCUMULATION_TOL:
-            raise ValueError(f"trace + lost_weight = {total!r}, expected 1")
+        trace = float(np.trace(mat).real)
+        if abs(trace - 1.0) > ACCUMULATION_TOL:
+            raise ValueError(f"trace = {trace!r}, expected 1")
         mat = mat.copy()
         mat.setflags(write=False)
         self.labels = labels
         self.matrix = mat
-        self.lost_weight = lost
-
-    @classmethod
-    def from_pure(cls, state: PureState, lost_weight: float = 0.0) -> "DensityMatrix":
-        amps = state.amplitudes
-        return cls(state.labels, np.outer(amps, amps.conj()), lost_weight)
 
     @property
     def dim(self) -> int:
@@ -220,14 +210,14 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def fidelity_with(self, state: PureState) -> float:
-        """<psi| rho |psi> against the surviving block (bases must match)."""
+        """<psi| rho |psi> (bases must match)."""
         if self.labels != state.labels:
             raise ValueError("fidelity requires identical bases")
         amps = state.amplitudes
         return float(np.real(amps.conj() @ self.matrix @ amps))
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, lost_weight={self.lost_weight:.6g})"
+        return f"DensityMatrix(dim={self.dim})"
 
 
 class OutcomeDistribution:
@@ -282,60 +272,6 @@ class OutcomeDistribution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{label!r}: {p:.6g}" for label, p in self.outcomes)
         return "OutcomeDistribution({" + inner + "})"
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; combined labels are "left,right" pairs."""
-    dim = a.dim * b.dim
-    if dim > MAX_TENSOR_DIM:
-        raise ValueError(f"tensor dimension {dim} exceeds the configured max {MAX_TENSOR_DIM}")
-    labels = tuple(f"{la},{lb}" for la in a.labels for lb in b.labels)
-    return PureState(labels, np.kron(a.amplitudes, b.amplitudes))
-
-
-def apply_operator(op: Operator, state: PureState) -> PureState:
-    """op . state with dimension (and, when known, basis-label) checking."""
-    if op.dim != state.dim:
-        raise ValueError(f"operator dim {op.dim} does not match state dim {state.dim}")
-    if op.labels is not None and op.labels != state.labels:
-        raise ValueError(f"operator basis {op.labels} does not match state basis {state.labels}")
-    return PureState(state.labels, op.matrix @ state.amplitudes, require_normalized=False)
-
-
-ELECTRON_LABELS = ("block", "pass")
-
-
-def hadamard(labels: Sequence[str] = ELECTRON_LABELS) -> Operator:
-    """Self-inverse gate taking (|block>+|pass>)/sqrt2 -> |block> and
-    (|block>-|pass>)/sqrt2 -> |pass>."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return Operator.unitary(h, labels)
-
-
-def measure(state: PureState, partition: Mapping[Any, Sequence[str]]) -> OutcomeDistribution:
-    """Projective measurement over a partition of the basis labels.
-
-    `partition` maps each outcome to the basis labels it collects; together
-    the groups must cover every label exactly once. The outcome probability
-    is the summed |amplitude|^2 over its group.
-    """
-    covered: list[str] = []
-    for group in partition.values():
-        covered.extend(group)
-    if sorted(covered) != sorted(state.labels):
-        raise ValueError(
-            f"partition {sorted(covered)} does not cover the basis {sorted(state.labels)} exactly once"
-        )
-    index = {label: i for i, label in enumerate(state.labels)}
-    probs = np.abs(state.amplitudes) ** 2
-    return OutcomeDistribution(
-        (outcome, float(sum(probs[index[label]] for label in group)))
-        for outcome, group in partition.items()
-    )
 
 
 # ---------------------------------------------------------------------------

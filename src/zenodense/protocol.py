@@ -292,9 +292,7 @@ def _tally(master_seed: int, stream_tag: int, start: int, count: int,
 
 
 def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
-              counts: Sequence[tuple[int, int]]) -> EfficiencyEstimate:
-    n_survived = sum(survived for survived, _ in counts)
-    n_errors = sum(errors for _, errors in counts)
+              n_survived: int, n_errors: int) -> EfficiencyEstimate:
     n_correct = n_survived - n_errors
     p_hat = n_correct / shots
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
@@ -323,7 +321,8 @@ def run_rows(rows: Sequence[tuple[AnalyzerKind, int, int]], shots: int, master_s
     window of them in flight; an exception, in a unit or in the caller,
     cancels the units not yet started. Otherwise they run in turn. Either
     way every row's counts are an order-independent sum over its units, so
-    the results do not depend on the thread count.
+    the results do not depend on the thread count, and memory does not grow
+    with `shots`: units are taken from a range and summed as they finish.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -332,38 +331,46 @@ def run_rows(rows: Sequence[tuple[AnalyzerKind, int, int]], shots: int, master_s
     rows = [(AnalyzerKind(analyzer), n_cycles, stream_tag)
             for analyzer, n_cycles, stream_tag in rows]
     threads = _resolve_threads(threads)
-    chunks = [(start, min(_CHUNK_SHOTS, shots - start))
-              for start in range(0, shots, _CHUNK_SHOTS)]
-    if threads == 1 or len(rows) * len(chunks) == 1 or chunks[0][1] < _FANOUT_SHOTS:
+    starts = range(0, shots, _CHUNK_SHOTS)
+    if threads == 1 or len(rows) * len(starts) == 1 or min(_CHUNK_SHOTS, shots) < _FANOUT_SHOTS:
         for analyzer, n_cycles, stream_tag in rows:
             plan = _tally_plan(analyzer, n_cycles, message)
-            yield _estimate(analyzer, n_cycles, shots,
-                            [_tally(master_seed, stream_tag, start, count, plan)
-                             for start, count in chunks])
+            survived = errors = 0
+            for start in starts:
+                unit = _tally(master_seed, stream_tag, start, min(_CHUNK_SHOTS, shots - start),
+                              plan)
+                survived += unit[0]
+                errors += unit[1]
+            yield _estimate(analyzer, n_cycles, shots, survived, errors)
         return
 
     pool = ThreadPoolExecutor(max_workers=threads)
     in_flight = collections.deque()  # ((analyzer, n_cycles), future), oldest first
-    counts = []  # the finished units of the oldest unfinished row
+    done = survived = errors = 0  # the finished units of the oldest unfinished row
 
     def settle(limit):
         # Wait for the oldest units until at most `limit` are in flight, and
         # yield each row whose last unit that finishes.
+        nonlocal done, survived, errors
         while len(in_flight) > limit:
             (analyzer, n_cycles), future = in_flight.popleft()
-            counts.append(future.result())
-            if len(counts) == len(chunks):
-                yield _estimate(analyzer, n_cycles, shots, counts)
-                counts.clear()
+            unit = future.result()
+            done += 1
+            survived += unit[0]
+            errors += unit[1]
+            if done == len(starts):
+                yield _estimate(analyzer, n_cycles, shots, survived, errors)
+                done = survived = errors = 0
 
     window = _WINDOW_PER_THREAD * threads
     try:
         for analyzer, n_cycles, stream_tag in rows:
             plan = _tally_plan(analyzer, n_cycles, message)
-            for start, count in chunks:
+            for start in starts:
                 yield from settle(window - 1)
                 in_flight.append(((analyzer, n_cycles),
-                                  pool.submit(_tally, master_seed, stream_tag, start, count, plan)))
+                                  pool.submit(_tally, master_seed, stream_tag, start,
+                                              min(_CHUNK_SHOTS, shots - start), plan)))
         yield from settle(0)
     except BaseException:
         # Units already running finish on their own; their counts are dropped.

@@ -55,7 +55,6 @@ class CycleChannel:
 
     operator: np.ndarray
     survival_p: float
-    branch_index: int
     n_cycles: int
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ def dqz_cycle_channel(branch_index: int, n_cycles: int) -> CycleChannel:
     op[_PASS_H, _PASS_V] = (-1.0) ** (branch_index + 1) * s
     op[_PASS_V, _PASS_H] = (-1.0) ** branch_index * s
     op[_PASS_V, _PASS_V] = c
-    return CycleChannel(op, float(cycle_survival(n_cycles)), branch_index, n_cycles)
+    return CycleChannel(op, float(cycle_survival(n_cycles)), n_cycles)
 
 
 @dataclass(frozen=True)
@@ -97,26 +96,17 @@ class DqzOutcome:
 
     `surviving` is the conditional (trace-one) state given the photon was
     never absorbed, carried with weight `surviving_weight` = P^N. The lost
-    branch has the electron collapsed to block and no photon left to
-    measure; the branch index is bookkeeping only.
+    branch, of weight `lost_weight`, has the electron collapsed to block and
+    no photon left to measure.
     """
 
     surviving: DensityMatrix
     surviving_weight: float
     lost_weight: float
-    branch_index: int
 
     def __post_init__(self):
         if abs(self.surviving_weight + self.lost_weight - 1.0) > 1e-10:
             raise ValueError("surviving and lost weights must sum to 1")
-
-    def as_density_matrix(self) -> DensityMatrix:
-        """The full channel output: weighted surviving block plus lost weight."""
-        return DensityMatrix(
-            self.surviving.labels,
-            self.surviving_weight * self.surviving.matrix,
-            lost_weight=self.lost_weight,
-        )
 
 
 def dqz_apply(bell: BellState, n_cycles: int) -> DqzOutcome:
@@ -131,7 +121,6 @@ def dqz_apply(bell: BellState, n_cycles: int) -> DqzOutcome:
         surviving=DensityMatrix(COMPOSITE_LABELS, conditional),
         surviving_weight=float(weight),
         lost_weight=float(1.0 - weight),
-        branch_index=bell.branch_index,
     )
 
 

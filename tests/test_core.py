@@ -1,4 +1,4 @@
-"""Core state/operator/measurement primitives."""
+"""Core state, operator and distribution primitives, and the per-shot streams."""
 
 import sys
 import threading
@@ -14,12 +14,9 @@ from zenodense.core import (
     Operator,
     OutcomeDistribution,
     PureState,
-    apply_operator,
     hadamard,
-    measure,
     shot_stream,
     shot_uniforms,
-    tensor,
     unitarity_defect,
 )
 from zenodense.optics import beam_splitter
@@ -55,87 +52,40 @@ class TestPureState:
         assert s.probability("x") == 0.0
 
 
-class TestTensor:
-    def test_product_of_basis_kets(self):
-        s = tensor(PureState.basis(("pass", "block"), "pass"),
-                   PureState.basis(("H", "V"), "H"))
-        assert s.amplitude("pass,H") == 1.0
-        assert s.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-    def test_distributes_over_superposition(self):
-        plus = state(("pass", "block"), [1 / SQ2, 1 / SQ2])
-        s = tensor(plus, PureState.basis(("H", "V"), "H"))
-        assert s.amplitude("pass,H") == pytest.approx(1 / SQ2)
-        assert s.amplitude("block,H") == pytest.approx(1 / SQ2)
-        assert s.amplitude("pass,V") == 0.0
-
-    def test_general_two_by_two_product(self):
-        # (lam |pass> + mu |block>) x (alpha |H> + beta |V>) carries the four
-        # pairwise amplitude products.
-        lam, mu = 0.6, 0.8
-        alpha, beta = 1 / SQ2, 1j / SQ2
-        s = tensor(state(("pass", "block"), [lam, mu]),
-                   state(("H", "V"), [alpha, beta]))
-        assert s.amplitude("pass,H") == pytest.approx(lam * alpha)
-        assert s.amplitude("pass,V") == pytest.approx(lam * beta)
-        assert s.amplitude("block,H") == pytest.approx(mu * alpha)
-        assert s.amplitude("block,V") == pytest.approx(mu * beta)
-
-    def test_dimension_cap(self):
-        big = PureState.basis([str(i) for i in range(8)], "0")
-        small = PureState.basis(("x", "y", "z"), "x")
-        with pytest.raises(ValueError, match="exceeds"):
-            tensor(big, small)
-
-    @given(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi))
-    def test_tensor_preserves_normalization(self, a, b):
-        left = state(("0", "1"), [np.cos(a), np.sin(a)])
-        right = state(("2", "3"), [np.cos(b), np.sin(b) * 1j])
-        assert tensor(left, right).norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestApplyOperator:
+class TestOperatorOnStates:
     def test_identity(self):
         s = state(("a", "b"), [0.6, 0.8])
-        out = apply_operator(Operator(np.eye(2), ("a", "b")), s)
-        assert np.allclose(out.amplitudes, s.amplitudes)
+        out = Operator(np.eye(2), ("a", "b")).matrix @ s.amplitudes
+        assert np.allclose(out, s.amplitudes)
 
     def test_balanced_splitter_on_path_a(self):
-        out = apply_operator(beam_splitter(np.pi / 4), PureState.basis(("a", "b"), "a"))
-        assert out.amplitude("a") == pytest.approx(1 / SQ2)
-        assert out.amplitude("b") == pytest.approx(1 / SQ2)
+        out = beam_splitter(np.pi / 4).matrix @ PureState.basis(("a", "b"), "a").amplitudes
+        assert out[0] == pytest.approx(1 / SQ2)
+        assert out[1] == pytest.approx(1 / SQ2)
 
     def test_n_fold_application_walks_the_photon_over(self):
         n = 25
         bs = beam_splitter(np.pi / (2 * n))
-        s = PureState.basis(("a", "b"), "a")
+        amps = PureState.basis(("a", "b"), "a").amplitudes
         for _ in range(n):
-            s = apply_operator(bs, s)
-        assert s.probability("b") == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            apply_operator(Operator(np.eye(3)), PureState.basis(("a", "b"), "a"))
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="basis"):
-            apply_operator(beam_splitter(0.3), PureState.basis(("H", "V"), "H"))
+            amps = bs.matrix @ amps
+        assert abs(amps[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(0.01, np.pi / 2), st.floats(0.0, 2 * np.pi))
     def test_unitary_preserves_norm(self, theta, mix):
         s = state(("a", "b"), [np.cos(mix), np.sin(mix)])
-        out = apply_operator(beam_splitter(theta), s)
-        assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        out = beam_splitter(theta).matrix @ s.amplitudes
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHadamard:
     def test_plus_superposition_to_block(self):
-        out = apply_operator(hadamard(), state(("block", "pass"), [1 / SQ2, 1 / SQ2]))
-        assert out.probability("block") == pytest.approx(1.0, abs=1e-12)
+        out = hadamard().matrix @ state(("block", "pass"), [1 / SQ2, 1 / SQ2]).amplitudes
+        assert abs(out[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_superposition_to_pass(self):
-        out = apply_operator(hadamard(), state(("block", "pass"), [1 / SQ2, -1 / SQ2]))
-        assert out.probability("pass") == pytest.approx(1.0, abs=1e-12)
+        out = hadamard().matrix @ state(("block", "pass"), [1 / SQ2, -1 / SQ2]).amplitudes
+        assert abs(out[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_self_inverse(self):
         h = hadamard().matrix
@@ -152,46 +102,14 @@ class TestOperatorConstruction:
         assert unitarity_defect(beam_splitter(theta).matrix) < 1e-12
 
 
-class TestMeasure:
-    def test_basis_state(self):
-        s = PureState.basis(("block,H", "block,V", "pass,H", "pass,V"), "block,V")
-        dist = measure(s, {"block,V": ["block,V"], "rest": ["block,H", "pass,H", "pass,V"]})
-        assert dist.probability("block,V") == pytest.approx(1.0)
-
-    def test_equal_electron_superposition(self):
-        s = PureState(("block,V", "pass,V"), [1 / SQ2, 1 / SQ2])
-        dist = measure(s, {"block": ["block,V"], "pass": ["pass,V"]})
-        assert dist.probability("block") == pytest.approx(0.5)
-        assert dist.probability("pass") == pytest.approx(0.5)
-
+class TestPolarizationMarginal:
     def test_post_gate_phi_state_polarization(self):
         # The separable state left behind by the dual gate on a Phi input is
         # pure V regardless of the electron side.
         labels = ("block,H", "block,V", "pass,H", "pass,V")
         s = PureState(labels, [0.0, 1 / SQ2, 0.0, 1 / SQ2])
-        dist = measure(s, {"H": ["block,H", "pass,H"], "V": ["block,V", "pass,V"]})
-        assert dist.probability("V") == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_covering_partition_rejected(self):
-        s = PureState.basis(("a", "b"), "a")
-        with pytest.raises(ValueError, match="cover"):
-            measure(s, {"a_only": ["a"]})
-        with pytest.raises(ValueError, match="cover"):
-            measure(s, {"x": ["a", "b"], "y": ["b"]})
-
-    def test_partition_reordering_is_irrelevant(self):
-        s = state(("a", "b", "c"), np.array([2.0, 2.0, 1.0]) / 3.0)
-        d1 = measure(s, {"ab": ["a", "b"], "c": ["c"]})
-        d2 = measure(s, {"c": ["c"], "ab": ["b", "a"]})
-        assert d1.probability("ab") == pytest.approx(d2.probability("ab"), abs=1e-15)
-        assert d1.probability("c") == pytest.approx(d2.probability("c"), abs=1e-15)
-
-    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
-    def test_distribution_sums_to_one(self, weights):
-        amps = np.sqrt(np.asarray(weights) / np.sum(weights))
-        labels = tuple(f"s{i}" for i in range(len(amps)))
-        dist = measure(state(labels, amps), {label: [label] for label in labels})
-        assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-10)
+        probs = np.abs(s.amplitudes) ** 2
+        assert probs[1] + probs[3] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOutcomeDistribution:
@@ -326,16 +244,21 @@ class TestShotStreams:
 
 
 class TestDensityMatrix:
-    def test_trace_plus_lost_must_be_one(self):
+    def test_trace_must_be_one(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(("a", "b"), np.diag([0.5, 0.4]), lost_weight=0.2)
+            DensityMatrix(("a", "b"), np.diag([0.5, 0.4]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(("a", "b"), [[0.5, 0.5], [0.0, 0.5]])
 
-    def test_from_pure_fidelity(self):
+    def test_rejects_non_positive(self):
+        # Hermitian and of trace one, but with a negative eigenvalue.
+        with pytest.raises(ValueError, match="not positive"):
+            DensityMatrix(("a", "b"), np.diag([1.5, -0.5]))
+
+    def test_pure_state_fidelity(self):
         s = PureState(("a", "b"), [0.6, 0.8])
-        rho = DensityMatrix.from_pure(s)
+        rho = DensityMatrix(s.labels, np.outer(s.amplitudes, s.amplitudes.conj()))
         assert rho.fidelity_with(s) == pytest.approx(1.0, abs=1e-12)
         assert rho.surviving_weight() == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,8 @@
 """Superdense-coding protocol: encode/decode, shot runner, Monte-Carlo estimator."""
 
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,3 +426,29 @@ class TestRunRows:
         for shots, message, threads in ((0, None, 1), (10, "22", 1), (10, None, 0)):
             with pytest.raises(ValueError):
                 list(run_rows(self.ROWS, shots, 1, message=message, threads=threads))
+
+    @pytest.mark.parametrize("threads, units", [(1, 10**5), (2, 10**4)])
+    def test_memory_does_not_grow_with_shots(self, monkeypatch, two_cpus, threads, units):
+        # With the tally stubbed out, what is left is the runner's own
+        # bookkeeping: a session of many work units must peak no higher than
+        # one of ten. Keeping one entry per unit took about 160 bytes each.
+        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
+
+        def peak_bytes(n_units):
+            # tracemalloc counts every thread: let the units an earlier test
+            # left running on a shut-down pool finish first.
+            for thread in threading.enumerate():
+                if thread is not threading.current_thread():
+                    thread.join(30)
+                    assert not thread.is_alive()
+            shots = n_units * protocol._CHUNK_SHOTS
+            tracemalloc.start()
+            try:
+                (estimate,) = run_rows([(AnalyzerKind.DQZ, 12, 0)], shots, 1, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert estimate.correct == shots
+            return peak
+
+        assert peak_bytes(units) < peak_bytes(10) + 64 * 1024

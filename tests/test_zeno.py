@@ -89,12 +89,6 @@ class TestDqzApply:
         total = out.surviving_weight * out.surviving.surviving_weight() + out.lost_weight
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_combined_density_matrix_bookkeeping(self):
-        out = dqz_apply(BellState.PSI_PLUS, 9)
-        rho = out.as_density_matrix()
-        assert rho.surviving_weight() == pytest.approx(out.surviving_weight, abs=1e-12)
-        assert rho.lost_weight == pytest.approx(out.lost_weight, abs=1e-12)
-
     def test_targets_are_orthonormal_across_bell_inputs(self):
         kets = [post_gate_target(bell) for bell in ALL_BELL_STATES]
         for i, a in enumerate(kets):
