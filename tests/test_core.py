@@ -51,6 +51,45 @@ class TestPureState:
         assert s.amplitude("y") == 1.0
         assert s.probability("x") == 0.0
 
+    def test_rejects_label_amplitude_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 labels but 3 amplitudes"):
+            state(("a", "b"), [1.0, 0.0, 0.0])
+
+    def test_rejects_non_vector_amplitudes(self):
+        with pytest.raises(ValueError, match="1-d"):
+            state(("a", "b"), [[1.0, 0.0]])
+
+    def test_from_terms_places_sparse_amplitudes(self):
+        s = PureState.from_terms(("a", "b", "c"), {"c": 0.6j, "a": 0.8})
+        assert np.array_equal(s.amplitudes, [0.8, 0.0, 0.6j])
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState.from_terms(("a", "b"), {"a": 0.5})
+        half = PureState.from_terms(("a", "b"), {"a": 0.5}, require_normalized=False)
+        assert half.norm_squared() == pytest.approx(0.25, abs=1e-15)
+
+    def test_inner_conjugates_the_bra(self):
+        a = state(("x", "y"), [1 / SQ2, 1j / SQ2])
+        b = state(("x", "y"), [1.0, 0.0])
+        assert a.inner(b) == pytest.approx(1 / SQ2)
+        assert a.inner(a) == pytest.approx(1.0)
+        assert b.inner(a) == pytest.approx(a.inner(b).conjugate())
+        assert state(("x", "y"), [0.0, 1j]).inner(b) == 0.0
+        assert b.inner(state(("x", "y"), [0.6, 0.8j])) == pytest.approx(0.6)
+        assert state(("x", "y"), [0.0, 1j]).inner(state(("x", "y"), [0.0, 1.0])) == \
+            pytest.approx(-1j)
+
+    def test_inner_requires_identical_bases(self):
+        with pytest.raises(ValueError, match="identical bases"):
+            PureState.basis(("x", "y"), "x").inner(PureState.basis(("y", "x"), "x"))
+
+    def test_amplitudes_are_a_read_only_copy(self):
+        source = np.array([0.6, 0.8])
+        s = state(("a", "b"), source)
+        source[0] = 1.0
+        assert s.amplitude("a") == 0.6
+        with pytest.raises(ValueError):
+            s.amplitudes[0] = 1.0
+
 
 class TestOperatorOnStates:
     def test_identity(self):
@@ -97,6 +136,30 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError, match="not unitary"):
             Operator.unitary([[1.0, 0.0], [1.0, 1.0]])
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            Operator(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            Operator(np.ones(4))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Operator([[1.0, np.inf], [0.0, 1.0]])
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="label count"):
+            Operator(np.eye(2), ("a", "b", "c"))
+        assert Operator(np.eye(3), ("a", "b", "c")).labels == ("a", "b", "c")
+        assert Operator(np.eye(3)).labels is None
+
+    def test_matrix_is_a_read_only_copy(self):
+        source = np.eye(2)
+        op = Operator(source)
+        source[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 2.0
+
     @given(st.floats(0.01, np.pi / 2))
     def test_repo_constructors_are_unitary(self, theta):
         assert unitarity_defect(beam_splitter(theta).matrix) < 1e-12
@@ -120,6 +183,22 @@ class TestOutcomeDistribution:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             OutcomeDistribution([("x", 0.5), ("x", 0.5)])
+
+    def test_rejects_probability_out_of_range(self):
+        with pytest.raises(ValueError, match="out of"):
+            OutcomeDistribution([("x", 1.5), ("y", -0.5)])
+
+    def test_rounding_below_zero_is_clamped(self):
+        # A probability a rounding error below zero is accepted as zero.
+        dist = OutcomeDistribution([("x", 1.0 + 1e-12), ("y", -1e-12)])
+        assert dist.probability("y") == 0.0
+
+    def test_lookup_and_listed_order(self):
+        dist = OutcomeDistribution([("C", 0.4), ("A", 0.6)])
+        assert list(dist) == [("C", 0.4), ("A", 0.6)]
+        assert len(dist) == 2
+        assert dist.probability("A") == 0.6
+        assert dist.probability("B") == 0.0
 
 
 class TestSample:
@@ -176,6 +255,18 @@ class TestShotStreams:
             shot_stream(-1, 0)
         with pytest.raises(ValueError):
             shot_stream(2**64, 0)
+
+    def test_block_is_raw_words_one_row_per_shot(self):
+        words = shot_uniforms(5, 3, 7)
+        assert words.dtype == np.uint64
+        assert words.shape == (7, DRAWS_PER_SHOT)
+        assert shot_uniforms(5, 3, 0).shape == (0, DRAWS_PER_SHOT)
+
+    def test_block_rejects_negative_start_or_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            shot_uniforms(5, -1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            shot_uniforms(5, 0, -1)
 
     @given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
            shot=st.integers(0, 2**260), other=st.integers(0, 2**70))
@@ -251,6 +342,28 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(("a", "b"), [[0.5, 0.5], [0.0, 0.5]])
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix(("a", "b", "c"), np.eye(2) / 2)
+
+    def test_fidelity_of_mixed_and_complex_states(self):
+        rho = DensityMatrix(("a", "b"), np.diag([0.25, 0.75]))
+        assert rho.fidelity_with(PureState.basis(("a", "b"), "b")) == pytest.approx(0.75)
+        plus = state(("a", "b"), [1 / SQ2, 1 / SQ2])
+        assert rho.fidelity_with(plus) == pytest.approx(0.5)
+        # The bra is conjugated: |R> = (|a> + i|b>)/sqrt2 has fidelity one
+        # with its own projector and zero with that of |L>.
+        right = state(("a", "b"), [1 / SQ2, 1j / SQ2])
+        left = state(("a", "b"), [1 / SQ2, -1j / SQ2])
+        rho_right = DensityMatrix(right.labels, np.outer(right.amplitudes, right.amplitudes.conj()))
+        assert rho_right.fidelity_with(right) == pytest.approx(1.0, abs=1e-12)
+        assert rho_right.fidelity_with(left) == pytest.approx(0.0, abs=1e-12)
+
+    def test_fidelity_requires_identical_bases(self):
+        rho = DensityMatrix(("a", "b"), np.diag([0.25, 0.75]))
+        with pytest.raises(ValueError, match="identical bases"):
+            rho.fidelity_with(PureState.basis(("H", "V"), "H"))
 
     def test_rejects_non_positive(self):
         # Hermitian and of trace one, but with a negative eigenvalue.
