@@ -286,9 +286,10 @@ ANALYZERS = {
 def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
     """Probability that the analyzer run ends in detector clicks, per Bell input.
 
-    Evaluates the table's law on a float array exactly as the analytic
-    curves in `metrics` do, so Monte-Carlo thresholds and R_analytic agree
-    bit for bit. Cached: per-shot runs ask for the same few (kind, Bell, N)
+    Evaluates the table's law on a 0-d float array. `metrics` evaluates the
+    same laws over arrays of N, and each element equals this scalar value
+    bit for bit, so Monte-Carlo thresholds and R_analytic rest on the same
+    survival. Cached: per-shot runs ask for the same few (kind, Bell, N)
     again and again.
     """
     spec = ANALYZERS[AnalyzerKind(kind)]

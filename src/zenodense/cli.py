@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -49,18 +50,14 @@ EXIT_IO = 3
 CSV_HEADER = ["N", "analyzer", "R_analytic", "R_mc", "mc_shots", "ci95_low", "ci95_high"]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _parse_analyzers(name: str) -> list[AnalyzerKind]:
     if name == "all":
         return list(AnalyzerKind)
     return [AnalyzerKind(name)]
 
 
-def _warn_degenerate(rows) -> None:
-    if any(kind is AnalyzerKind.QZ and qz_is_degenerate(n) for kind, n in rows):
+def _warn_degenerate(analyzers, n_min: int) -> None:
+    if AnalyzerKind.QZ in analyzers and qz_is_degenerate(n_min):
         print("note: qz at N=1 is degenerate (sin(pi) = 0 makes the survival formula vacuous)",
               file=sys.stderr)
 
@@ -100,44 +97,67 @@ def _replacing_out(path: str | None):
         raise
 
 
+# Analytic rows per closed-form evaluation and per write: enough to spread
+# the per-block cost thin, few enough that a CSV sweep of any length peaks
+# under a megabyte.
+_SWEEP_BLOCK = 4096
+
+
+def _sweep_blocks(analyzers: list[AnalyzerKind], n_min: int, n_max: int,
+                  shots: int | None, seed: int):
+    """The sweep's rows as (analyzer, cycle counts, R_analytic values, estimates) blocks.
+
+    Without shots a block is up to _SWEEP_BLOCK rows of one analyzer, from
+    one evaluation of its closed form over the block's N; its estimates are
+    all None. With shots a block is the one row the Monte-Carlo runner has
+    just finished.
+    """
+    if not shots:
+        for kind in analyzers:
+            for low in range(n_min, n_max + 1, _SWEEP_BLOCK):
+                high = min(low + _SWEEP_BLOCK - 1, n_max)
+                r_values = metrics.efficiency_curve(kind, low, high).r_values.tolist()
+                yield kind, range(low, high + 1), r_values, itertools.repeat(None)
+        return
+    rows = ((kind, n, _sweep_stream_tag(kind, n))
+            for kind in analyzers for n in range(n_min, n_max + 1))
+    # Closing this generator closes the runner, which stops its pool.
+    with contextlib.closing(protocol.run_rows(rows, shots, seed)) as estimates:
+        for estimate in estimates:
+            kind, n = estimate.analyzer, estimate.n_cycles
+            yield kind, (n,), (metrics.r_analytic(kind, n),), (estimate,)
+
+
 def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int | None,
               seed: int, fmt: str, out: str | None) -> int:
-    rows = [(kind, n) for kind in analyzers for n in range(n_min, n_max + 1)]
-    _warn_degenerate(rows)
-    if shots:
-        estimates = protocol.run_rows([(kind, n, _sweep_stream_tag(kind, n)) for kind, n in rows],
-                                      shots, seed)
-    else:
-        estimates = (None for _ in rows)
-    # Closing the runner first stops its pool when a row fails to be written.
-    with _replacing_out(out) as stream, contextlib.closing(estimates):
-        # Each row is written as soon as it is computed; the bytes equal one
-        # csv.writer pass or json.dump(records, indent=2) over all rows.
+    _warn_degenerate(analyzers, n_min)
+    blocks = _sweep_blocks(analyzers, n_min, n_max, shots, seed)
+    with _replacing_out(out) as stream, contextlib.closing(blocks):
+        # Each block is written once computed, in one write. The bytes equal
+        # one csv.writer pass (no field needs quoting) or
+        # json.dump(records, indent=2) over all rows.
         if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
+            stream.write(",".join(CSV_HEADER) + "\n")
         separator = "[\n"
-        for (kind, n), estimate in zip(rows, estimates, strict=True):
-            r_analytic = metrics.r_analytic(kind, n)
+        for kind, ns, r_values, estimates in blocks:
+            name, rows = kind.value, zip(ns, r_values, estimates)
             if fmt == "csv":
-                if estimate is None:
-                    writer.writerow([n, kind.value, _fmt(r_analytic), "", "", "", ""])
-                else:
-                    writer.writerow([n, kind.value, _fmt(r_analytic), _fmt(estimate.r_hat),
-                                     shots, _fmt(estimate.ci95[0]),
-                                     _fmt(estimate.ci95[1])])
+                stream.write("".join([
+                    f"{n},{name},{r:.9g},,,,\n" if e is None else
+                    f"{n},{name},{r:.9g},{e.r_hat:.9g},{shots},{e.ci95[0]:.9g},{e.ci95[1]:.9g}\n"
+                    for n, r, e in rows]))
                 continue
-            record = {
+            records = [{
                 "n": n,
-                "analyzer": kind.value,
-                "r_analytic": r_analytic,
-                "r_mc": None if estimate is None else estimate.r_hat,
-                "mc_shots": None if estimate is None else shots,
-                "ci95_low": None if estimate is None else estimate.ci95[0],
-                "ci95_high": None if estimate is None else estimate.ci95[1],
-            }
-            # A one-element list dumps the record at its nesting depth.
-            stream.write(separator + json.dumps([record], indent=2)[2:-2])
+                "analyzer": name,
+                "r_analytic": r,
+                "r_mc": None if e is None else e.r_hat,
+                "mc_shots": None if e is None else shots,
+                "ci95_low": None if e is None else e.ci95[0],
+                "ci95_high": None if e is None else e.ci95[1],
+            } for n, r, e in rows]
+            # The list's items at their nesting depth, without the brackets.
+            stream.write(separator + json.dumps(records, indent=2)[2:-2])
             separator = ",\n"
         if fmt == "json":
             stream.write("[]\n" if separator == "[\n" else "\n]\n")
@@ -146,7 +166,7 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
 
 def cmd_run(analyzer: AnalyzerKind, n_cycles: int, shots: int, seed: int,
             message: str, out: str | None) -> int:
-    _warn_degenerate([(analyzer, n_cycles)])
+    _warn_degenerate([analyzer], n_cycles)
     fixed = None if message == "uniform" else message
     estimate = protocol.simulate(analyzer, n_cycles, shots, seed, message=fixed)
     record = {

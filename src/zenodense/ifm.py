@@ -12,6 +12,8 @@ this machinery.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import OutcomeDistribution, PureState
@@ -69,13 +71,22 @@ class AbsorberState:
                 f"block={self.block_amplitude:.4g})")
 
 
+# libm's pow applied element by element. numpy's power ufunc evaluates an
+# array with its own vectorized pow, which can differ from libm by one ulp
+# (cos^{2N} at N = 36, 78, 81, ... with numpy 2.4 on AVX-512); a scalar `**`
+# calls libm.
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
 def blocked_survival(n_cycles):
     """Closed-form survival cos^{2N}(pi/2N) of the blocked chain.
 
-    Takes a cycle count or an array of them.
+    Takes a cycle count or an array of them. The power is libm's `pow` for
+    every element, so an array gives each N bit for bit the value a single
+    cycle count gives.
     """
     n = cycle_counts(n_cycles)
-    return np.cos(np.pi / (2.0 * n)) ** (2 * n)
+    return np.asarray(_libm_pow(np.cos(np.pi / (2.0 * n)), 2 * n), dtype=float)[()]
 
 
 def blocked_survival_sim(n_cycles: int) -> float:

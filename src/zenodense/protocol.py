@@ -18,9 +18,10 @@ shot the same way.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,12 +253,7 @@ class _TallyPlan(NamedTuple):
 
 
 def _tally_plan(analyzer: AnalyzerKind, n_cycles: int, message: str | None) -> _TallyPlan:
-    """The row's plan, from one scalar `survival_probability` per survival law.
-
-    Each law is evaluated as a 0-d array, as `survival_probability` always
-    does: a 1-d evaluation of the ifm Phi law differs by one ulp at some N
-    (18, 36, 51, ...), which moves the threshold by one.
-    """
+    """The row's plan, from one scalar `survival_probability` per survival law."""
     sent = range(len(MESSAGES)) if message is None else (MESSAGES.index(message),)
     inputs = [_SURVIVAL_INPUTS[analyzer][index] for index in sent]
     p = {bell: survival_probability(analyzer, bell, n_cycles) for bell in set(inputs)}
@@ -309,30 +305,35 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
     )
 
 
-def run_rows(rows: Sequence[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
+def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
              message: str | None = None,
              threads: int | None = None) -> Iterator[EfficiencyEstimate]:
     """Monte-Carlo sessions of `shots` shots for many rows, yielded in row order.
 
     Each row is (analyzer, n_cycles, stream_tag) and draws from its own
-    stream. Its shots are split into work units of at most 2**16. With more
-    than one thread (the argument, else SDC_THREADS) and units of at least
-    _FANOUT_SHOTS shots, the units of all rows run on one pool, a bounded
-    window of them in flight; an exception, in a unit or in the caller,
-    cancels the units not yet started. Otherwise they run in turn. Either
-    way every row's counts are an order-independent sum over its units, so
-    the results do not depend on the thread count, and memory does not grow
-    with `shots`: units are taken from a range and summed as they finish.
+    stream; rows are taken from the iterable one at a time, as they are
+    needed. A row's shots are split into work units of at most 2**16. With
+    more than one thread (the argument, else SDC_THREADS), units of at least
+    _FANOUT_SHOTS shots and more than one unit in all, the units of all rows
+    run on one pool, a bounded window of them in flight; an exception, in a
+    unit or in the caller, cancels the units not yet started. Otherwise they
+    run in turn. Either way every row's counts are an order-independent sum
+    over its units, so the results do not depend on the thread count, and
+    memory grows with neither the row count nor `shots`: units are taken
+    from a range and summed as they finish.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if message is not None and message not in MESSAGES:
         raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
-    rows = [(AnalyzerKind(analyzer), n_cycles, stream_tag)
-            for analyzer, n_cycles, stream_tag in rows]
     threads = _resolve_threads(threads)
     starts = range(0, shots, _CHUNK_SHOTS)
-    if threads == 1 or len(rows) * len(starts) == 1 or min(_CHUNK_SHOTS, shots) < _FANOUT_SHOTS:
+    # Peek at two rows: a lone row of one unit runs serially.
+    rows = iter(rows)
+    head = list(itertools.islice(rows, 2))
+    rows = ((AnalyzerKind(analyzer), n_cycles, stream_tag)
+            for analyzer, n_cycles, stream_tag in itertools.chain(head, rows))
+    if threads == 1 or len(head) * len(starts) == 1 or min(_CHUNK_SHOTS, shots) < _FANOUT_SHOTS:
         for analyzer, n_cycles, stream_tag in rows:
             plan = _tally_plan(analyzer, n_cycles, message)
             survived = errors = 0

@@ -7,10 +7,12 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from zenodense import cli, metrics, protocol
+from zenodense.analyzers import AnalyzerKind
 from zenodense.cli import main
 
 CSV_HEADER = "N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high"
@@ -100,6 +102,73 @@ class TestSweep:
             records = json.loads(stream.getvalue())
             assert stream.getvalue() == json.dumps(records, indent=2) + "\n"
 
+    def test_analytic_rows_equal_a_csv_writer_reference(self, capsys, tmp_path):
+        n_max = 5_000
+        assert n_max > cli._SWEEP_BLOCK
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for kind in AnalyzerKind:
+            for n in range(1, n_max + 1):
+                writer.writerow([n, kind.value, f"{metrics.r_analytic(kind, n):.9g}", "", "", "", ""])
+        argv = ["sweep", "--analyzer=all", "--n-min=1", f"--n-max={n_max}"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == reference.getvalue()
+        target = tmp_path / "curve.csv"
+        assert run_cli(capsys, *argv, f"--out={target}")[0] == 0
+        assert target.read_bytes() == reference.getvalue().encode()
+
+    @pytest.mark.parametrize("fmt, marker", [("csv", "{n},dqz,"), ("json", '"n": {n},')])
+    def test_failed_write_in_a_later_block_leaves_the_target_as_it_was(self, capsys, monkeypatch,
+                                                                       tmp_path, fmt, marker):
+        target = tmp_path / "sweep.out"
+        target.write_text("earlier result\n")
+        second_block = marker.format(n=cli._SWEEP_BLOCK + 1)
+        written = []
+
+        class FullDisk:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, text):
+                if second_block in text:
+                    raise OSError(28, "No space left on device")
+                written.append(text)
+                return self.stream.write(text)
+
+            def close(self):
+                self.stream.close()
+
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(real_open(*a, **k)),
+                            raising=False)
+        code, _, err = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1",
+                               f"--n-max={cli._SWEEP_BLOCK + 10}", f"--format={fmt}",
+                               f"--out={target}")
+        assert code == 3 and "No space left on device" in err
+        assert marker.format(n=cli._SWEEP_BLOCK) in "".join(written)
+        assert target.read_text() == "earlier result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
+
+    def test_analytic_sweep_memory_stays_under_a_megabyte(self, tmp_path):
+        out = f"--out={tmp_path / 'curve.csv'}"
+        assert main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=10", out]) == 0
+        # tracemalloc counts every thread: let the units an earlier test left
+        # running on a shut-down pool finish first.
+        for thread in threading.enumerate():
+            if thread is not threading.current_thread():
+                thread.join(30)
+                assert not thread.is_alive()
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=100000", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1_000_000
+        with open(tmp_path / "curve.csv") as written:
+            assert sum(1 for _ in written) == 1 + 300_000
+
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1", "--n-max=3",
@@ -133,7 +202,7 @@ class TestSweep:
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
 
-    @pytest.mark.parametrize("seam", ["plan", "write"])
+    @pytest.mark.parametrize("seam", ["plan", "write", "stream"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_pooled_sweep_leaves_the_target_as_it_was(self, capsys, monkeypatch,
@@ -142,10 +211,11 @@ class TestSweep:
         # until the sweep has returned, and the failure comes once two of
         # them hold both workers, so a unit still queued then stays unstarted
         # only if the failure cancels it.
-        #   plan:  the runner's plan for row 3 fails; row 1's units hold the
-        #          workers and row 2's are queued.
-        #   write: writing row 1 fails; row 2's units hold the workers and
-        #          row 3's first unit is queued.
+        #   plan:   the runner's plan for row 3 fails; row 1's units hold the
+        #           workers and row 2's are queued.
+        #   write:  computing row 1's text fails; row 2's units hold the
+        #           workers and row 3's first unit is queued.
+        #   stream: the stream's write of row 1 fails; the same units wait.
         held_from, fail_row = (1, 3) if seam == "plan" else (2, 1)
         monkeypatch.setenv("SDC_THREADS", "2")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -181,9 +251,24 @@ class TestSweep:
                 fail(n)
             return real_r_analytic(kind, n)
 
+        class FailingStream:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, text):
+                if seam == "stream" and text.startswith(("1,ifm,", '[\n  {\n    "n": 1,')):
+                    fail(1)
+                return self.stream.write(text)
+
+            def close(self):
+                self.stream.close()
+
+        real_open = open
         monkeypatch.setattr(protocol, "shot_uniforms", held_uniforms)
         monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
         monkeypatch.setattr(metrics, "r_analytic", failing_r_analytic)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailingStream(real_open(*a, **k)),
+                            raising=False)
         shots = protocol._CHUNK_SHOTS + protocol._FANOUT_SHOTS
         argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=6", f"--shots={shots}",
                 f"--format={fmt}", f"--out={target}"]

@@ -1,11 +1,15 @@
 """Closed-form throughput curves, thresholds, and resource counts."""
 
+import json
+
 import numpy as np
 import pytest
 
 from zenodense.analyzers import ALL_BELL_STATES, AnalyzerKind, survival_probability
+from zenodense.cli import main
 from zenodense.metrics import (
     EXPERIMENTAL_BENCHMARK_R,
+    MAX_CURVE_CYCLES,
     efficiency_curve,
     min_n_for_target,
     p_survival,
@@ -14,6 +18,10 @@ from zenodense.metrics import (
 )
 
 DQZ, IFM, QZ = AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ
+
+
+def bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
 class TestAnalyticThroughput:
@@ -31,6 +39,19 @@ class TestAnalyticThroughput:
         assert r_analytic(DQZ, 12) == pytest.approx(1.8048667700, abs=1e-9)
         assert r_analytic(IFM, 24) == pytest.approx(1.8069547102, abs=1e-9)
         assert r_analytic(QZ, 71) == pytest.approx(1.8019732208, abs=1e-9)
+
+    def test_ifm_values_pinned_in_every_output(self, capsys):
+        # libm's pow; numpy's vectorized pow gives one ulp less at these N.
+        pinned = {36: "0x1.de5caaa4067fbp+0", 78: "0x1.f01e7777a161ap+0",
+                  81: "0x1.f0b234c1b0ec0p+0"}
+        curve = efficiency_curve(IFM, 1, 100).r_values
+        assert main(["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=100",
+                     "--format=json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        for n, value in pinned.items():
+            assert r_analytic(IFM, n).hex() == value
+            assert float(curve[n - 1]).hex() == value
+            assert records[n - 1]["n"] == n and records[n - 1]["r_analytic"].hex() == value
 
     def test_ifm_equals_twice_its_survival(self):
         # The two printed closed forms of the IFM throughput coincide.
@@ -110,9 +131,16 @@ class TestEfficiencyCurve:
         assert curve.points[0][0] == 5
 
     def test_matches_scalar_evaluation(self):
-        curve = efficiency_curve(QZ, 2, 50)
-        for n, r in curve.points:
-            assert r == pytest.approx(r_analytic(QZ, n), abs=1e-15)
+        # Bit for bit, over a whole block of N and at log-spaced N of the
+        # widest curve, so every position of a vectorized loop is covered.
+        log_spaced = np.unique(np.geomspace(1, MAX_CURVE_CYCLES, 300).astype(int))
+        for kind in (DQZ, IFM, QZ):
+            curve = efficiency_curve(kind, 1, 20_000)
+            expected = [r_analytic(kind, int(n)) for n in curve.n_values]
+            assert curve.r_values.view(np.uint64).tolist() == bits(expected)
+            widest = efficiency_curve(kind, 1, MAX_CURVE_CYCLES).r_values[log_spaced - 1]
+            expected = [r_analytic(kind, int(n)) for n in log_spaced]
+            assert widest.view(np.uint64).tolist() == bits(expected)
 
     def test_analyzer_ordering_over_wide_range(self):
         n_lo, n_hi = 2, 200

@@ -367,6 +367,7 @@ class TestRunRows:
                     for kind, n, tag in self.ROWS]
         for threads in (1, 2):
             assert list(run_rows(self.ROWS, shots, 5, threads=threads)) == expected
+            assert list(run_rows(iter(self.ROWS), shots, 5, threads=threads)) == expected
         assert list(run_rows(self.ROWS, shots, 5, message="01", threads=2)) == [
             simulate(kind, n, shots, 5, message="01", stream_tag=tag)
             for kind, n, tag in self.ROWS]
@@ -384,14 +385,22 @@ class TestRunRows:
 
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
         assert len(list(run_rows(self.ROWS, shots, 5, threads=2))) == len(self.ROWS)
-        assert len(made) == pools
-        # One row of one unit has nothing to share out.
-        simulate(AnalyzerKind.DQZ, 12, min(shots, protocol._CHUNK_SHOTS), 5, threads=2)
-        assert len(made) == pools
+        assert len(list(run_rows(iter(self.ROWS), shots, 5, threads=2))) == len(self.ROWS)
+        assert len(made) == 2 * pools
+        # One row of one unit has nothing to share out, from a list or an iterator.
+        one_unit = min(shots, protocol._CHUNK_SHOTS)
+        simulate(AnalyzerKind.DQZ, 12, one_unit, 5, threads=2)
+        assert len(list(run_rows(iter(self.ROWS[:1]), one_unit, 5, threads=2))) == 1
+        assert len(made) == 2 * pools
+        # One row of two units shares them out.
+        assert len(list(run_rows(iter(self.ROWS[:1]), protocol._CHUNK_SHOTS + 1, 5,
+                                 threads=2))) == 1
+        assert len(made) == 2 * pools + 1
 
     def test_runner_thresholds_are_scalar_evaluations(self, monkeypatch):
-        # A 1-d evaluation of the ifm Phi law is one ulp lower at these N,
-        # which would lower the threshold by one (7332208221475705 at N = 18).
+        # At these N numpy's vectorized pow is one ulp below libm's for the
+        # ifm Phi law, which would lower the threshold by one
+        # (7332208221475705 at N = 18).
         plans = []
         real_plan = protocol._tally_plan
 
@@ -427,6 +436,22 @@ class TestRunRows:
             with pytest.raises(ValueError):
                 list(run_rows(self.ROWS, shots, 1, message=message, threads=threads))
 
+    @staticmethod
+    def peak_bytes(run) -> int:
+        """tracemalloc's peak while `run()` runs."""
+        # tracemalloc counts every thread: let the units an earlier test left
+        # running on a shut-down pool finish first.
+        for thread in threading.enumerate():
+            if thread is not threading.current_thread():
+                thread.join(30)
+                assert not thread.is_alive()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("threads, units", [(1, 10**5), (2, 10**4)])
     def test_memory_does_not_grow_with_shots(self, monkeypatch, two_cpus, threads, units):
         # With the tally stubbed out, what is left is the runner's own
@@ -434,21 +459,25 @@ class TestRunRows:
         # one of ten. Keeping one entry per unit took about 160 bytes each.
         monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
 
-        def peak_bytes(n_units):
-            # tracemalloc counts every thread: let the units an earlier test
-            # left running on a shut-down pool finish first.
-            for thread in threading.enumerate():
-                if thread is not threading.current_thread():
-                    thread.join(30)
-                    assert not thread.is_alive()
+        def session(n_units):
             shots = n_units * protocol._CHUNK_SHOTS
-            tracemalloc.start()
-            try:
-                (estimate,) = run_rows([(AnalyzerKind.DQZ, 12, 0)], shots, 1, threads=threads)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (estimate,) = run_rows([(AnalyzerKind.DQZ, 12, 0)], shots, 1, threads=threads)
             assert estimate.correct == shots
-            return peak
 
-        assert peak_bytes(units) < peak_bytes(10) + 64 * 1024
+        assert self.peak_bytes(lambda: session(units)) < self.peak_bytes(lambda: session(10)) + 64 * 1024
+
+    @pytest.mark.parametrize("threads, shots, n_rows", [(1, 1, 30_000),
+                                                        (2, protocol._FANOUT_SHOTS, 3_000)])
+    def test_memory_does_not_grow_with_rows(self, monkeypatch, two_cpus, threads, shots, n_rows):
+        # Rows are taken from a generator as they are needed: with the tally
+        # and its plan stubbed out, many rows must peak no higher than ten.
+        # Holding the rows as tuples took about 100 bytes each.
+        plan = _tally_plan(AnalyzerKind.DQZ, 12, None)
+        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
+        monkeypatch.setattr(protocol, "_tally_plan", lambda kind, n, message: plan)
+
+        def sweep(count):
+            rows = ((AnalyzerKind.DQZ, 12, tag) for tag in range(count))
+            assert sum(1 for _ in run_rows(rows, shots, 1, threads=threads)) == count
+
+        assert self.peak_bytes(lambda: sweep(n_rows)) < self.peak_bytes(lambda: sweep(10)) + 64 * 1024
