@@ -132,6 +132,7 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
               seed: int, fmt: str, out: str | None) -> int:
     _warn_degenerate(analyzers, n_min)
     blocks = _sweep_blocks(analyzers, n_min, n_max, shots, seed)
+    # Closing the blocks first stops the runner's pool when a write fails.
     with _replacing_out(out) as stream, contextlib.closing(blocks):
         # Each block is written once computed, in one write. The bytes equal
         # one csv.writer pass (no field needs quoting) or

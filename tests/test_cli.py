@@ -24,6 +24,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def check_output_writes(monkeypatch, check):
+    """Call `check(text)` before each write to a file the CLI opens."""
+    real_open = open
+
+    class Checked:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def write(self, text):
+            check(text)
+            return self.stream.write(text)
+
+        def close(self):
+            self.stream.close()
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: Checked(real_open(*a, **k)), raising=False)
+
+
 class TestSweep:
     def test_row_count_single_analyzer(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1",
@@ -110,7 +128,8 @@ class TestSweep:
         writer.writerow(CSV_HEADER.split(","))
         for kind in AnalyzerKind:
             for n in range(1, n_max + 1):
-                writer.writerow([n, kind.value, f"{metrics.r_analytic(kind, n):.9g}", "", "", "", ""])
+                r_analytic = metrics.r_analytic(kind, n)
+                writer.writerow([n, kind.value, f"{r_analytic:.9g}", "", "", "", ""])
         argv = ["sweep", "--analyzer=all", "--n-min=1", f"--n-max={n_max}"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == reference.getvalue()
@@ -126,22 +145,12 @@ class TestSweep:
         second_block = marker.format(n=cli._SWEEP_BLOCK + 1)
         written = []
 
-        class FullDisk:
-            def __init__(self, stream):
-                self.stream = stream
+        def disk_full_at_the_second_block(text):
+            if second_block in text:
+                raise OSError(28, "No space left on device")
+            written.append(text)
 
-            def write(self, text):
-                if second_block in text:
-                    raise OSError(28, "No space left on device")
-                written.append(text)
-                return self.stream.write(text)
-
-            def close(self):
-                self.stream.close()
-
-        real_open = open
-        monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(real_open(*a, **k)),
-                            raising=False)
+        check_output_writes(monkeypatch, disk_full_at_the_second_block)
         code, _, err = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1",
                                f"--n-max={cli._SWEEP_BLOCK + 10}", f"--format={fmt}",
                                f"--out={target}")
@@ -251,24 +260,14 @@ class TestSweep:
                 fail(n)
             return real_r_analytic(kind, n)
 
-        class FailingStream:
-            def __init__(self, stream):
-                self.stream = stream
+        def failing_stream(text):
+            if seam == "stream" and text.startswith(("1,ifm,", '[\n  {\n    "n": 1,')):
+                fail(1)
 
-            def write(self, text):
-                if seam == "stream" and text.startswith(("1,ifm,", '[\n  {\n    "n": 1,')):
-                    fail(1)
-                return self.stream.write(text)
-
-            def close(self):
-                self.stream.close()
-
-        real_open = open
         monkeypatch.setattr(protocol, "shot_uniforms", held_uniforms)
         monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
         monkeypatch.setattr(metrics, "r_analytic", failing_r_analytic)
-        monkeypatch.setattr(cli, "open", lambda *a, **k: FailingStream(real_open(*a, **k)),
-                            raising=False)
+        check_output_writes(monkeypatch, failing_stream)
         shots = protocol._CHUNK_SHOTS + protocol._FANOUT_SHOTS
         argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=6", f"--shots={shots}",
                 f"--format={fmt}", f"--out={target}"]

@@ -464,7 +464,8 @@ class TestRunRows:
             (estimate,) = run_rows([(AnalyzerKind.DQZ, 12, 0)], shots, 1, threads=threads)
             assert estimate.correct == shots
 
-        assert self.peak_bytes(lambda: session(units)) < self.peak_bytes(lambda: session(10)) + 64 * 1024
+        peak = self.peak_bytes(lambda: session(units))
+        assert peak < self.peak_bytes(lambda: session(10)) + 64 * 1024
 
     @pytest.mark.parametrize("threads, shots, n_rows", [(1, 1, 30_000),
                                                         (2, protocol._FANOUT_SHOTS, 3_000)])
@@ -480,4 +481,5 @@ class TestRunRows:
             rows = ((AnalyzerKind.DQZ, 12, tag) for tag in range(count))
             assert sum(1 for _ in run_rows(rows, shots, 1, threads=threads)) == count
 
-        assert self.peak_bytes(lambda: sweep(n_rows)) < self.peak_bytes(lambda: sweep(10)) + 64 * 1024
+        peak = self.peak_bytes(lambda: sweep(n_rows))
+        assert peak < self.peak_bytes(lambda: sweep(10)) + 64 * 1024
