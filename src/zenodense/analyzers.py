@@ -300,12 +300,14 @@ def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> 
     return float(p)
 
 
+@functools.lru_cache(maxsize=1024)
 def analyze(kind: AnalyzerKind, bell: BellState, n_cycles: int, m: int = 0) -> OutcomeDistribution:
     """Bell analysis of one run.
 
     With probability survival_probability the photon survives and the click
     pair identifies the state with certainty; otherwise the photon is lost.
     The surviving click is listed first (samplers rely on the order).
+    Cached like survival_probability; the distribution is immutable.
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")

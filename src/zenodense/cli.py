@@ -134,8 +134,9 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
     blocks = _sweep_blocks(analyzers, n_min, n_max, shots, seed)
     # Closing the blocks first stops the runner's pool when a write fails.
     with _replacing_out(out) as stream, contextlib.closing(blocks):
-        # Each block is written once computed, in one write. The bytes equal
-        # one csv.writer pass (no field needs quoting) or
+        # Each block is written once computed: a CSV block in one write, a
+        # JSON record (five times a CSV line) in one write each. The bytes
+        # equal one csv.writer pass (no field needs quoting) or
         # json.dump(records, indent=2) over all rows.
         if fmt == "csv":
             stream.write(",".join(CSV_HEADER) + "\n")
@@ -148,18 +149,16 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
                     f"{n},{name},{r:.9g},{e.r_hat:.9g},{shots},{e.ci95[0]:.9g},{e.ci95[1]:.9g}\n"
                     for n, r, e in rows]))
                 continue
-            records = [{
-                "n": n,
-                "analyzer": name,
-                "r_analytic": r,
-                "r_mc": None if e is None else e.r_hat,
-                "mc_shots": None if e is None else shots,
-                "ci95_low": None if e is None else e.ci95[0],
-                "ci95_high": None if e is None else e.ci95[1],
-            } for n, r, e in rows]
-            # The list's items at their nesting depth, without the brackets.
-            stream.write(separator + json.dumps(records, indent=2)[2:-2])
-            separator = ",\n"
+            for n, r, e in rows:
+                # One item of json.dumps(records, indent=2): every float is
+                # finite and prints as its repr, and no string needs escaping.
+                r_mc, mc_shots, low, high = ("null",) * 4 if e is None else (
+                    repr(e.r_hat), shots, repr(e.ci95[0]), repr(e.ci95[1]))
+                stream.write(f'{separator}  {{\n    "n": {n},\n    "analyzer": "{name}",\n'
+                             f'    "r_analytic": {r!r},\n    "r_mc": {r_mc},\n'
+                             f'    "mc_shots": {mc_shots},\n    "ci95_low": {low},\n'
+                             f'    "ci95_high": {high}\n  }}')
+                separator = ",\n"
         if fmt == "json":
             stream.write("[]\n" if separator == "[\n" else "\n]\n")
     return EXIT_OK

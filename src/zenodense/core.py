@@ -10,18 +10,18 @@ bugs happen.
 
 All values are immutable after construction and every operation is pure,
 so states and operators are safe to share across threads. The only mutable
-objects anywhere are per-shot RNG streams, each owned by a single shot or
-by a single thread.
+objects anywhere are RNG streams, each owned by a single caller or kept
+private to a single thread.
 
 Randomness is counter-based: shot i owns the i-th Philox block of four
-64-bit words. `shot_stream` reads it as uniform doubles for the per-shot
-runner (a caller that is done with a stream before its thread asks for the
-next one may re-key the thread's own generator instead of building one);
-`shot_uniforms` hands the raw words of many shots to the vectorized
-Monte-Carlo, which uses words 0 and 1 and compares their top bits against
-integer thresholds. Uniform j of a shot is (word j >> 11) * 2**-53, numpy's
-own Philox double, so the integer and the float comparison decide every
-shot identically.
+64-bit words. `shot_words` reads words 0 and 1 of a block for the per-shot
+runner, from a per-thread generator that walks on from the block it last
+drew; `shot_stream` reads a block as uniform doubles from a generator of
+the caller's own; `shot_uniforms` hands the raw words of many shots to the
+vectorized Monte-Carlo, which uses words 0 and 1 and compares their top
+bits against integer thresholds. Uniform j of a shot is
+(word j >> 11) * 2**-53, numpy's own Philox double, so the integer and the
+float comparison decide every shot identically.
 """
 
 from __future__ import annotations
@@ -253,15 +253,18 @@ class OutcomeDistribution:
                 return p
         return 0.0
 
-    def sample(self, rng: np.random.Generator):
-        """Inverse-CDF draw over the listed order using one uniform."""
-        u = float(rng.random())
+    def pick(self, u: float):
+        """Inverse-CDF draw over the listed order for one uniform u in [0, 1)."""
         acc = 0.0
         for label, p in self.outcomes:
             acc += p
             if u < acc:
                 return label
         return self.outcomes[-1][0]
+
+    def sample(self, rng: np.random.Generator):
+        """`pick` with one uniform drawn from rng."""
+        return self.pick(float(rng.random()))
 
     def __iter__(self):
         return iter(self.outcomes)
@@ -293,48 +296,48 @@ def _philox(master_seed: int, stream_tag: int = 0) -> np.random.Philox:
 
 
 _WORD = (1 << 64) - 1
-_thread_streams = threading.local()
+_walk = threading.local()  # per thread: its Philox and the (seed, tag, shot) it draws next
 
 
-def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0, *,
-                reuse: bool = False) -> np.random.Generator:
-    """Counter-based RNG stream for one shot.
+def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.random.Generator:
+    """Counter-based RNG stream for one shot; the caller owns the generator.
 
     Shot i owns exactly the i-th Philox block (DRAWS_PER_SHOT uniform
     doubles), so identical (master_seed, shot_index) always reproduce the
     identical trajectory no matter how shots are batched or parallelized.
-
-    The caller owns the returned generator. With reuse=True it gets the
-    calling thread's own generator instead, re-keyed to this shot (about a
-    third of the cost of building one); it draws the same numbers, but only
-    until the same thread asks for another reused stream.
     """
     if shot_index < 0:
         raise ValueError("shot_index must be non-negative")
-    if not reuse:
-        bits = _philox(master_seed, stream_tag)
-        bits.advance(int(shot_index))
-        return np.random.Generator(bits)
-    key = _key(master_seed, stream_tag)
-    try:
-        rng = _thread_streams.rng
-    except AttributeError:
-        rng = _thread_streams.rng = np.random.Generator(np.random.Philox(key=key))
-    # Philox steps its 256-bit counter before it fills the empty buffer, so
-    # counter i with buffer_pos 4 draws block i, as advance(i) from counter 0
-    # does (modulo 2**256 in both cases).
-    i = int(shot_index)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([(i >> shift) & _WORD for shift in (0, 64, 128, 192)],
-                                      dtype=np.uint64),
-                  "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    bits = _philox(master_seed, stream_tag)
+    bits.advance(int(shot_index))
+    return np.random.Generator(bits)
+
+
+def shot_words(master_seed: int, shot_index: int, stream_tag: int = 0) -> tuple[int, int]:
+    """Words 0 and 1 of the shot's Philox block, as Python ints.
+
+    Each thread keeps one private Philox and the (seed, tag, block) it will
+    draw next. A call for exactly that block just draws it, so a thread
+    that walks its shots in order never re-keys; any other call re-keys the
+    generator to the requested block first. Either way the words equal
+    row 0 of shot_uniforms(master_seed, shot_index, 1, stream_tag).
+    """
+    if shot_index < 0:
+        raise ValueError("shot_index must be non-negative")
+    if getattr(_walk, "next", None) != (master_seed, stream_tag, shot_index):
+        key = _key(master_seed, stream_tag)
+        if not hasattr(_walk, "bits"):
+            _walk.bits = np.random.Philox(key=key)
+        # Philox steps its 256-bit counter before it fills the empty buffer,
+        # so counter i with buffer_pos 4 draws block i, as advance(i) from
+        # counter 0 does (modulo 2**256 in both cases).
+        counter = [(int(shot_index) >> shift) & _WORD for shift in (0, 64, 128, 192)]
+        _walk.bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+                            "state": {"counter": np.array(counter, np.uint64), "key": key}}
+    w0, w1, _, _ = _walk.bits.random_raw(DRAWS_PER_SHOT).tolist()
+    _walk.next = (master_seed, stream_tag, shot_index + 1)
+    return w0, w1
 
 
 def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,

@@ -8,11 +8,11 @@ r_hat = 2 * (surviving and correctly decoded) / shots.
 
 Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
-counter-based stream. `run_protocol` (one shot at a time) compares the
-uniforms as floats; `run_rows` (vectorized, optionally threaded, many rows
-of a sweep at once) and `simulate` (its one-row case) compare the raw Philox
-words they are made from against integer thresholds, which decides every
-shot the same way.
+counter-based stream. `run_protocol` (one shot at a time, with no per-shot
+set-up once a thread walks a seed's shots in order) compares u1 as a float;
+`run_rows` (vectorized, optionally threaded, many rows of a sweep at once)
+and `simulate` (its one-row case) compare the raw Philox words they are
+made from against integer thresholds, which decides every shot the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .analyzers import (
     click_pair,
     survival_probability,
 )
-from .core import shot_stream, shot_uniforms
+# shot_stream stays importable from here beside the other per-shot layers.
+from .core import shot_stream, shot_uniforms, shot_words  # noqa: F401
 
 MESSAGES = ("00", "01", "10", "11")
 
@@ -160,17 +161,19 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
                  master_seed: int, shot_index: int = 0, m: int = 0) -> RunOutcome:
     """One shot: encode, analyze, sample the outcome, decode.
 
-    Pass message="uniform" to draw the message from the shot's stream. The
-    message uniform is consumed either way so that fixed-message and
-    uniform-message runs stay stream-aligned with `simulate`.
+    Pass message="uniform" to draw the message from the top two bits of the
+    shot's word 0. Word 1 draws the outcome either way, so fixed-message and
+    uniform-message runs stay stream-aligned with `simulate`. Shots run in
+    order re-key nothing and, after the first, analyze nothing anew.
     """
     analyzer = AnalyzerKind(analyzer)
-    rng = shot_stream(master_seed, shot_index, reuse=True)
-    u_message = float(rng.random())
+    w_message, w_outcome = shot_words(master_seed, shot_index)
     if message == "uniform":
-        message = MESSAGES[min(int(u_message * 4), 3)]
+        message = MESSAGES[w_message >> 62]
     bell = encode(message)
-    outcome: AnalyzerOutcome = analyze(analyzer, bell, n_cycles, m).sample(rng)
+    # numpy's Philox double of word 1, the uniform `simulate` compares as an integer.
+    u_outcome = (w_outcome >> 11) * 2.0**-53
+    outcome: AnalyzerOutcome = analyze(analyzer, bell, n_cycles, m).pick(u_outcome)
     if outcome.photon_lost:
         return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
                           master_seed, shot_index)
@@ -182,8 +185,9 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
 def _resolve_threads(threads: int | None) -> int:
     """Worker threads for `run_rows`: the argument, else SDC_THREADS, else 1.
 
-    Capped at the CPU count: one thread per core is the most the tally can
-    use, and the cap bounds the pool however large the request.
+    Capped at the CPUs this process may run on (its affinity mask where the
+    platform has one, else the CPU count): one thread per core is the most
+    the tally can use, and the cap bounds the pool however large the request.
     """
     if threads is None:
         env = os.environ.get("SDC_THREADS", "").strip()
@@ -193,8 +197,10 @@ def _resolve_threads(threads: int | None) -> int:
             raise ValueError(f"SDC_THREADS must be a positive integer, got {env!r}") from None
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # os.cpu_count() reads sysfs on every call; a serial session skips it.
-    return 1 if threads == 1 else min(threads, os.cpu_count() or 1)
+    if threads == 1:  # a serial session skips the system call
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads, cpus or 1)
 
 
 _CHUNK_SHOTS = 1 << 16

@@ -159,9 +159,10 @@ class TestSweep:
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
 
-    def test_analytic_sweep_memory_stays_under_a_megabyte(self, tmp_path):
-        out = f"--out={tmp_path / 'curve.csv'}"
-        assert main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=10", out]) == 0
+    @staticmethod
+    def analytic_sweep_peak(path, n_max, *argv):
+        out = f"--out={path}"
+        assert main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=10", out, *argv]) == 0
         # tracemalloc counts every thread: let the units an earlier test left
         # running on a shut-down pool finish first.
         for thread in threading.enumerate():
@@ -170,13 +171,55 @@ class TestSweep:
                 assert not thread.is_alive()
         tracemalloc.start()
         try:
-            code = main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=100000", out])
+            code = main(["sweep", "--analyzer=all", "--n-min=1", f"--n-max={n_max}", out, *argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 1_000_000
+        assert code == 0
+        return peak
+
+    def test_analytic_sweep_memory_stays_under_a_megabyte(self, tmp_path):
+        assert self.analytic_sweep_peak(tmp_path / "curve.csv", 100_000) < 1_000_000
         with open(tmp_path / "curve.csv") as written:
             assert sum(1 for _ in written) == 1 + 300_000
+
+    def test_analytic_json_sweep_memory_stays_under_a_megabyte(self, tmp_path):
+        # Records are written one at a time, not gathered per block of 4096
+        # rows (6.3 MB) or whole.
+        n_max = 5 * cli._SWEEP_BLOCK
+        peak = self.analytic_sweep_peak(tmp_path / "curve.json", n_max, "--format=json")
+        assert peak < 1_000_000
+        with open(tmp_path / "curve.json") as written:
+            assert sum(1 for line in written if line.startswith('    "n": ')) == 3 * n_max
+
+    @staticmethod
+    def json_reference(records):
+        return json.dumps([{
+            "n": n,
+            "analyzer": kind.value,
+            "r_analytic": metrics.r_analytic(kind, n),
+            "r_mc": None if e is None else e.r_hat,
+            "mc_shots": None if e is None else e.shots,
+            "ci95_low": None if e is None else e.ci95[0],
+            "ci95_high": None if e is None else e.ci95[1],
+        } for kind, n, e in records], indent=2) + "\n"
+
+    def test_analytic_json_equals_a_json_dumps_reference(self, capsys):
+        n_max = cli._SWEEP_BLOCK + 50
+        code, out, _ = run_cli(capsys, "sweep", "--analyzer=all", "--n-min=1",
+                               f"--n-max={n_max}", "--format=json")
+        expected = self.json_reference(
+            [(kind, n, None) for kind in AnalyzerKind for n in range(1, n_max + 1)])
+        assert code == 0 and out == expected
+
+    def test_monte_carlo_json_equals_a_json_dumps_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--analyzer=all", "--n-min=1", "--n-max=6",
+                               "--shots=3000", "--seed=11", "--format=json")
+        expected = self.json_reference([
+            (kind, n, protocol.simulate(kind, n, 3000, 11,
+                                        stream_tag=cli._sweep_stream_tag(kind, n)))
+            for kind in AnalyzerKind for n in range(1, 7)])
+        assert code == 0 and out == expected
 
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -227,7 +270,7 @@ class TestSweep:
         #   stream: the stream's write of row 1 fails; the same units wait.
         held_from, fail_row = (1, 3) if seam == "plan" else (2, 1)
         monkeypatch.setenv("SDC_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         target = tmp_path / "sweep.out"
         target.write_text("earlier result\n")
         events, workers = [], set()
@@ -305,7 +348,7 @@ class TestSweep:
     @pytest.mark.parametrize("args, digest", POOLED_GRIDS)
     def test_pooled_rows_keep_every_byte(self, capsys, monkeypatch, args, digest):
         assert 20_000 >= protocol._FANOUT_SHOTS
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         real_uniforms = protocol.shot_uniforms
         unit_threads = set()
 

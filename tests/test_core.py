@@ -17,6 +17,7 @@ from zenodense.core import (
     hadamard,
     shot_stream,
     shot_uniforms,
+    shot_words,
     unitarity_defect,
 )
 from zenodense.optics import beam_splitter
@@ -27,6 +28,12 @@ SQ2 = np.sqrt(2.0)
 def as_uniforms(words):
     """numpy's Philox double from raw words: (w >> 11) * 2**-53."""
     return (words >> 11) * 2.0**-53
+
+
+def block_words(seed, shot, tag):
+    """Words 0 and 1 of the shot's block, from a fresh generator."""
+    w0, w1 = shot_uniforms(seed, shot, 1, tag)[0, :2].tolist()
+    return w0, w1
 
 
 def state(labels, amps, **kw):
@@ -275,47 +282,95 @@ class TestShotStreams:
     @example(seed=1, tag=2, shot=2**256 - 1, other=1)
     @example(seed=1, tag=2, shot=2**256, other=1)
     @example(seed=1, tag=2, shot=(3 << 192) | (5 << 128) | (7 << 64) | 9, other=1)
-    def test_reused_stream_equals_a_fresh_one(self, seed, tag, shot, other):
-        # Re-keying after another shot, a part-drawn block and a 32-bit draw
-        # must leave nothing of them behind.
-        rng = shot_stream(seed ^ 1, other, tag, reuse=True)
-        rng.random(3)
-        rng.integers(0, 2**31, dtype=np.int32)
-        fresh = shot_stream(seed, shot, tag)
-        reused = shot_stream(seed, shot, tag, reuse=True)
-        assert reused is rng
-        assert np.array_equal(reused.random(2 * DRAWS_PER_SHOT), fresh.random(2 * DRAWS_PER_SHOT))
-        assert reused.integers(0, 2**31, dtype=np.int32) == fresh.integers(0, 2**31,
-                                                                           dtype=np.int32)
+    def test_word_reader_equals_a_fresh_block(self, seed, tag, shot, other):
+        # Re-keying after another seed's shot must leave nothing of it behind,
+        # and the shot after must follow on from the re-keyed block.
+        shot_words(seed ^ 1, other, tag)
+        assert shot_words(seed, shot, tag) == block_words(seed, shot, tag)
+        assert shot_words(seed, shot + 1, tag) == block_words(seed, shot + 1, tag)
 
     def test_plain_streams_belong_to_the_caller(self):
         first = shot_stream(3, 5)
         assert shot_stream(3, 5) is not first
-        shot_stream(3, 9, reuse=True).random()
+        shot_words(3, 9)
+        shot_words(3, 10)
         assert first.random() == shot_stream(3, 5).random()
 
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_range_errors_with_and_without_reuse(self, reuse):
+    @pytest.mark.parametrize("reader", [shot_stream, shot_words])
+    def test_range_errors_of_stream_and_word_reader(self, reader):
         for seed, shot, tag in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1),
                                 (0, 0, 2**64)):
             with pytest.raises(ValueError):
-                shot_stream(seed, shot, tag, reuse=reuse)
+                reader(seed, shot, tag)
 
-    def test_each_thread_reuses_its_own_stream(self):
-        # Four threads re-key in lockstep, switching often; each must still
-        # draw its own shots from its own generator.
+    def test_a_rejected_call_leaves_the_walk_in_place(self):
+        shot_words(4, 10, 1)
+        with pytest.raises(ValueError):
+            shot_words(2**64, 11, 1)
+        assert shot_words(4, 11, 1) == block_words(4, 11, 1)
+
+    # Calls as (seed, tag, first shot, run length, step): runs of consecutive
+    # shots forwards or backwards, repeats (step 0), across 2**64 and across
+    # the 2**256 wrap of the counter, with seeds and tags interleaved.
+    CALL_RUNS = st.lists(
+        st.tuples(st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([0, 1, 2**64 - 1]),
+                  st.one_of(st.integers(0, 40), st.integers(2**64 - 4, 2**64 + 4),
+                            st.integers(2**256 - 4, 2**256 + 4)),
+                  st.integers(1, 6), st.sampled_from([1, -1, 0])),
+        min_size=1, max_size=8)
+
+    @staticmethod
+    def calls_of(runs):
+        return [(seed, max(first + step * k, 0), tag)
+                for seed, tag, first, length, step in runs for k in range(length)]
+
+    @given(runs=CALL_RUNS)
+    @example(runs=[(0, 0, 0, 3, 1), (0, 1, 3, 3, 1)])      # the tag changes, the shots go on
+    @example(runs=[(0, 0, 0, 3, 1), (1, 0, 3, 3, 1)])      # the seed changes, the shots go on
+    @example(runs=[(0, 0, 5, 3, -1), (0, 0, 5, 2, 0)])     # backwards, then repeats
+    @example(runs=[(1, 1, 2**256 - 2, 4, 1)])              # across the counter wrap
+    @example(runs=[(1, 1, 2**64 - 2, 4, 1)])
+    def test_any_call_sequence_reads_each_shots_own_block(self, runs):
+        for seed, shot, tag in self.calls_of(runs):
+            assert shot_words(seed, shot, tag) == block_words(seed, shot, tag)
+
+    @given(runs=CALL_RUNS, other=CALL_RUNS)
+    @example(runs=[(0, 0, 0, 6, 1)], other=[(0, 1, 0, 6, 1)])
+    def test_two_threads_interleaved_each_read_their_own_blocks(self, runs, other):
+        # The threads take turns call by call, each walking its own sequence.
+        sequences = [self.calls_of(runs), self.calls_of(other)]
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        read = [[], []]
+
+        def worker(me):
+            for seed, shot, tag in sequences[me]:
+                turns[me].acquire()
+                read[me].append(shot_words(seed, shot, tag))
+                turns[1 - me].release()
+            for _ in sequences[1 - me][len(sequences[me]):]:
+                turns[me].acquire()
+                turns[1 - me].release()
+
+        threads = [threading.Thread(target=worker, args=(me,)) for me in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        for me in (0, 1):
+            assert read[me] == [block_words(*call) for call in sequences[me]]
+
+    def test_each_thread_reads_its_own_words(self):
+        # Four threads read in lockstep, switching often; each must still
+        # read its own shots.
         tags = range(4)
         barrier = threading.Barrier(len(tags), timeout=30)
         drawn = {tag: [] for tag in tags}
-        generators = {}
 
         def worker(tag):
             for shot in range(200):
                 barrier.wait()
-                rng = shot_stream(17, shot, tag, reuse=True)
-                generators.setdefault(tag, rng)
-                barrier.wait()
-                drawn[tag].append(rng.random(DRAWS_PER_SHOT))
+                drawn[tag].append(shot_words(17, shot, tag))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -328,10 +383,9 @@ class TestShotStreams:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert len({id(rng) for rng in generators.values()}) == len(tags)
         for tag in tags:
-            expected = as_uniforms(shot_uniforms(17, 0, 200, stream_tag=tag))
-            assert np.array_equal(np.array(drawn[tag]), expected)
+            expected = shot_uniforms(17, 0, 200, stream_tag=tag)[:, :2]
+            assert drawn[tag] == [tuple(row) for row in expected.tolist()]
 
 
 class TestDensityMatrix:

@@ -1,5 +1,6 @@
 """Superdense-coding protocol: encode/decode, shot runner, Monte-Carlo estimator."""
 
+import hashlib
 import os
 import threading
 import tracemalloc
@@ -143,6 +144,31 @@ class TestRunProtocol:
         b = run_protocol("uniform", AnalyzerKind.IFM, 5, master_seed=1, shot_index=42)
         assert a == b
 
+    # sha256 over every RunOutcome field of the grid below, recorded before
+    # the runner read its words from a continuing per-thread stream.
+    GRID_DIGEST = "bc93de3db8646d75e2b79dda89a36180906d3b8c0a6b0e295f7660fe73bf2b6b"
+    GRID_SHOTS = (*range(40), 2**63, 2**64 - 1, 2**64, 2**256 - 1, 2**256)
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_outcomes_equal_the_recorded_digest(self, order):
+        digest = hashlib.sha256()
+        for kind in AnalyzerKind:
+            for n in (1, 2, 5, 12, 64, 10**5):
+                for message in ("uniform", *MESSAGES):
+                    for m in (0, 1):
+                        shots = self.GRID_SHOTS if order == "forward" else self.GRID_SHOTS[::-1]
+                        runs = {i: run_protocol(message, kind, n, master_seed=2026, shot_index=i,
+                                                m=m) for i in shots}
+                        for i in self.GRID_SHOTS:
+                            o = runs[i]
+                            digest.update(repr((
+                                o.message_sent, o.decoded,
+                                None if o.bell_estimate is None else o.bell_estimate.name,
+                                None if o.clicks is None else str(o.clicks), o.photon_lost,
+                                o.analyzer.value, o.n_cycles, o.master_seed, o.shot_index,
+                            )).encode())
+        assert digest.hexdigest() == self.GRID_DIGEST
+
 
 class TestSimulate:
     def test_bit_identical_reruns(self):
@@ -158,10 +184,21 @@ class TestSimulate:
 
     def test_thread_request_capped_at_cpu_count(self, monkeypatch):
         # Resolving the count starts no thread, so huge requests are safe to test.
-        cap = os.cpu_count() or 1
-        assert _resolve_threads(10**6) == cap
-        monkeypatch.setenv("SDC_THREADS", str(10**6))
-        assert _resolve_threads(None) == cap
+        # The cap is the CPUs this process may use, not the machine's.
+        if hasattr(os, "sched_getaffinity"):
+            cap = len(os.sched_getaffinity(0))
+            assert _resolve_threads(10**6) == cap
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert _resolve_threads(10**6) == 1
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5})
+            assert _resolve_threads(4) == 3
+            monkeypatch.setenv("SDC_THREADS", str(10**6))
+            assert _resolve_threads(None) == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        # Without an affinity mask, the CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _resolve_threads(10**6) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_threads(10**6) == 1
 
@@ -175,16 +212,18 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_per_shot_runner_exactly(self, kind):
         shots = 3_000
-        estimate = simulate(kind, 5, shots, master_seed=9)
-        survived = correct = 0
-        for i in range(shots):
-            out = run_protocol("uniform", kind, 5, master_seed=9, shot_index=i)
-            if not out.photon_lost:
-                survived += 1
-                correct += out.decoded == out.message_sent
-        assert estimate.r_hat == 2 * correct / shots
-        assert estimate.lost_fraction == 1 - survived / shots
-        assert estimate.decode_error_count == survived - correct == 0
+        for message in (None, "10"):
+            estimate = simulate(kind, 5, shots, master_seed=9, message=message)
+            survived = correct = 0
+            for i in range(shots):
+                out = run_protocol(message or "uniform", kind, 5, master_seed=9, shot_index=i)
+                assert message is None or out.message_sent == message
+                if not out.photon_lost:
+                    survived += 1
+                    correct += out.decoded == out.message_sent
+            assert estimate.r_hat == 2 * correct / shots
+            assert estimate.lost_fraction == 1 - survived / shots
+            assert estimate.decode_error_count == survived - correct == 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_estimator_consistency_over_seeds(self, kind):
@@ -359,7 +398,7 @@ class TestRunRows:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         # Two threads must reach the pool even on a one-CPU machine.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @pytest.mark.parametrize("shots", [1, 2_000, 20_000, 70_000])
     def test_rows_equal_one_row_sessions_at_any_thread_count(self, two_cpus, shots):
