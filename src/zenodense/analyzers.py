@@ -282,22 +282,22 @@ ANALYZERS = {
 }
 
 
-@functools.lru_cache(maxsize=1024)
-def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
-    """Probability that the analyzer run ends in detector clicks, per Bell input.
-
-    Evaluates the table's law on a 0-d float array. `metrics` evaluates the
-    same laws over arrays of N, and each element equals this scalar value
-    bit for bit, so Monte-Carlo thresholds and R_analytic rest on the same
-    survival. Cached: per-shot runs ask for the same few (kind, Bell, N)
-    again and again.
-    """
+def survival_law(kind: AnalyzerKind, bell: BellState, n_cycles) -> np.ndarray:
+    """Survival probability per Bell input over a cycle count or an array of them;
+    each element equals, bit for bit, the value of its cycle count alone."""
     spec = ANALYZERS[AnalyzerKind(kind)]
     n = np.asarray(n_cycles, dtype=float)
     p = spec.stage(n)
     if spec.phi_factor is not None and bell.family == "phi":
         p = spec.phi_factor(n) * p
-    return float(p)
+    return p
+
+
+@functools.lru_cache(maxsize=1024)
+def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
+    """`survival_law` at one N, cached: per-shot runs ask for the same few
+    (kind, Bell, N) again and again."""
+    return float(survival_law(kind, bell, n_cycles))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -360,5 +360,6 @@ __all__ = [
     "qz_collapsed_state",
     "qz_is_degenerate",
     "semi_counterfactual_stats",
+    "survival_law",
     "survival_probability",
 ]

@@ -15,11 +15,11 @@ private to a single thread.
 
 Randomness is counter-based: shot i owns the i-th Philox block of four
 64-bit words. `shot_words` reads words 0 and 1 of a block for the per-shot
-runner, from a per-thread generator that walks on from the block it last
-drew; `shot_stream` reads a block as uniform doubles from a generator of
-the caller's own; `shot_uniforms` hands the raw words of many shots to the
-vectorized Monte-Carlo, which uses words 0 and 1 and compares their top
-bits against integer thresholds. Uniform j of a shot is
+runner and `shot_uniforms` the raw words of many shots for the vectorized
+Monte-Carlo, which compares the top bits of words 0 and 1 against integer
+thresholds; both draw from one per-thread generator that walks on from the
+block it last drew. `shot_stream` reads a block as uniform doubles from a
+generator of the caller's own. Uniform j of a shot is
 (word j >> 11) * 2**-53, numpy's own Philox double, so the integer and the
 float comparison decide every shot identically.
 """
@@ -291,10 +291,6 @@ def _key(master_seed: int, stream_tag: int) -> np.ndarray:
     return np.array([seed, tag], dtype=np.uint64)
 
 
-def _philox(master_seed: int, stream_tag: int = 0) -> np.random.Philox:
-    return np.random.Philox(key=_key(master_seed, stream_tag))
-
-
 _WORD = (1 << 64) - 1
 _walk = threading.local()  # per thread: its Philox and the (seed, tag, shot) it draws next
 
@@ -308,35 +304,39 @@ def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.ra
     """
     if shot_index < 0:
         raise ValueError("shot_index must be non-negative")
-    bits = _philox(master_seed, stream_tag)
+    bits = np.random.Philox(key=_key(master_seed, stream_tag))
     bits.advance(int(shot_index))
     return np.random.Generator(bits)
 
 
-def shot_words(master_seed: int, shot_index: int, stream_tag: int = 0) -> tuple[int, int]:
-    """Words 0 and 1 of the shot's Philox block, as Python ints.
-
-    Each thread keeps one private Philox and the (seed, tag, block) it will
-    draw next. A call for exactly that block just draws it, so a thread
-    that walks its shots in order never re-keys; any other call re-keys the
-    generator to the requested block first. Either way the words equal
-    row 0 of shot_uniforms(master_seed, shot_index, 1, stream_tag).
-    """
-    if shot_index < 0:
-        raise ValueError("shot_index must be non-negative")
-    if getattr(_walk, "next", None) != (master_seed, stream_tag, shot_index):
+def _draw(master_seed: int, stream_tag: int, first_shot: int, n_shots: int) -> np.ndarray:
+    """The raw words of shots [first_shot, first_shot + n_shots), flat, from the
+    calling thread's private Philox. It remembers the (seed, tag, block) it
+    draws next, so a call that goes on from the last one re-keys nothing."""
+    if getattr(_walk, "next", None) != (master_seed, stream_tag, first_shot):
         key = _key(master_seed, stream_tag)
         if not hasattr(_walk, "bits"):
             _walk.bits = np.random.Philox(key=key)
         # Philox steps its 256-bit counter before it fills the empty buffer,
         # so counter i with buffer_pos 4 draws block i, as advance(i) from
         # counter 0 does (modulo 2**256 in both cases).
-        counter = [(int(shot_index) >> shift) & _WORD for shift in (0, 64, 128, 192)]
+        counter = [(int(first_shot) >> shift) & _WORD for shift in (0, 64, 128, 192)]
         _walk.bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
                             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
                             "state": {"counter": np.array(counter, np.uint64), "key": key}}
-    w0, w1, _, _ = _walk.bits.random_raw(DRAWS_PER_SHOT).tolist()
-    _walk.next = (master_seed, stream_tag, shot_index + 1)
+        _walk.next = (master_seed, stream_tag, first_shot)  # in case the draw fails
+    words = _walk.bits.random_raw(int(n_shots) * DRAWS_PER_SHOT)
+    _walk.next = (master_seed, stream_tag, first_shot + n_shots)
+    return words
+
+
+def shot_words(master_seed: int, shot_index: int, stream_tag: int = 0) -> tuple[int, int]:
+    """Words 0 and 1 of the shot's Philox block, as Python ints: row 0 of
+    shot_uniforms(master_seed, shot_index, 1, stream_tag), read without
+    re-keying by a thread that reads its shots in order (see `_draw`)."""
+    if shot_index < 0:
+        raise ValueError("shot_index must be non-negative")
+    w0, w1, _, _ = _draw(master_seed, stream_tag, shot_index, 1).tolist()
     return w0, w1
 
 
@@ -344,8 +344,9 @@ def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
                   stream_tag: int = 0) -> np.ndarray:
     """Raw Philox words for shots [start_shot, start_shot + n_shots), shape (n, DRAWS_PER_SHOT).
 
-    The words are uint64. Uniform j of shot i is (w[i, j] >> 11) * 2**-53,
-    exactly numpy's Philox double, so row i converted that way equals
+    The words are uint64, from the same per-thread Philox as `shot_words`.
+    Uniform j of shot i is (w[i, j] >> 11) * 2**-53, exactly numpy's Philox
+    double, so row i converted that way equals
     shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT) bit for
     bit. For p in [0, 1], u < p holds exactly when
     (w >> 11) < ceil(p * 2**53), and min(int(4 * u), 3) equals w >> 62: the
@@ -354,6 +355,4 @@ def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
     """
     if start_shot < 0 or n_shots < 0:
         raise ValueError("start_shot and n_shots must be non-negative")
-    bits = _philox(master_seed, stream_tag)
-    bits.advance(int(start_shot))
-    return bits.random_raw(int(n_shots) * DRAWS_PER_SHOT).reshape(int(n_shots), DRAWS_PER_SHOT)
+    return _draw(master_seed, stream_tag, start_shot, n_shots).reshape(int(n_shots), DRAWS_PER_SHOT)

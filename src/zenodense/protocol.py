@@ -10,9 +10,9 @@ Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
 counter-based stream. `run_protocol` (one shot at a time, with no per-shot
 set-up once a thread walks a seed's shots in order) compares u1 as a float;
-`run_rows` (vectorized, optionally threaded, many rows of a sweep at once)
-and `simulate` (its one-row case) compare the raw Philox words they are
-made from against integer thresholds, which decides every shot the same way.
+`run_rows` (many rows of a sweep at once, packed into work units of up to
+2**16 shots) and `simulate` (its one-row case) compare the raw Philox words
+they are made from against integer thresholds: the same decision per shot.
 """
 
 from __future__ import annotations
@@ -29,16 +29,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .analyzers import (
-    ANALYZERS,
     AnalyzerKind,
     AnalyzerOutcome,
     BellState,
     DetectorPair,
     analyze,
     click_pair,
-    survival_probability,
+    survival_law,
+    survival_probability,  # noqa: F401
 )
-# shot_stream stays importable from here beside the other per-shot layers.
+# shot_stream and survival_probability stay importable here, beside the per-shot layers.
 from .core import shot_stream, shot_uniforms, shot_words  # noqa: F401
 
 MESSAGES = ("00", "01", "10", "11")
@@ -109,7 +109,7 @@ def decode(clicks: DetectorPair, analyzer: AnalyzerKind = AnalyzerKind.DQZ) -> t
     the photon side and the QZ analyzer reports canonical pairs, so decoding
     is analyzer-aware.
     """
-    analyzer = AnalyzerKind(analyzer)
+    analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
     table = _DECODE_TABLES[analyzer]
     if clicks not in table:
         valid = ", ".join(sorted(str(pair) for pair in table))
@@ -166,7 +166,7 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
     uniform-message runs stay stream-aligned with `simulate`. Shots run in
     order re-key nothing and, after the first, analyze nothing anew.
     """
-    analyzer = AnalyzerKind(analyzer)
+    analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
     w_message, w_outcome = shot_words(master_seed, shot_index)
     if message == "uniform":
         message = MESSAGES[w_message >> 62]
@@ -203,13 +203,11 @@ def _resolve_threads(threads: int | None) -> int:
     return min(threads, cpus or 1)
 
 
-_CHUNK_SHOTS = 1 << 16
+_CHUNK_SHOTS = 1 << 16  # shots per work unit at most
 
-# Work units of fewer shots run serially whatever the thread count. Measured
-# on 2 threads of a 2-vCPU VM, 600-row sweeps: units of 10,000 and 20,000
-# shots ran 1.1-1.8x faster on the pool, units of 2,000 and 5,000 shots
-# 0.7-1.0x as fast.
-_FANOUT_SHOTS = 10_000
+# Rows planned together: enough to spread the closed forms' per-call cost
+# thin, few enough that the rows and units in hand stay under 64 KiB.
+_BATCH_ROWS = 64
 
 # Units in flight per worker thread: enough to keep every worker busy while
 # the caller takes a finished row, few enough that a failure stops the run
@@ -222,26 +220,16 @@ _WINDOW_PER_THREAD = 2
 _MIS_DECODED: dict[AnalyzerKind, tuple[int, ...]] = {kind: () for kind in AnalyzerKind}
 
 
-def _survival_inputs(kind: AnalyzerKind) -> tuple[BellState, ...]:
-    # Per message, a Bell input with the same survival probability: the
-    # inputs differ only through a Phi factor, and then only by family.
-    if ANALYZERS[kind].phi_factor is None:
-        return (BellState.PHI_PLUS,) * len(MESSAGES)
-    return tuple(BellState.PHI_PLUS if encode(msg).family == "phi" else BellState.PSI_PLUS
-                 for msg in MESSAGES)
-
-
-_SURVIVAL_INPUTS = {kind: _survival_inputs(kind) for kind in AnalyzerKind}
-
-
-def _survival_threshold(p: float) -> int:
-    """ceil(p * 2**53), with p clipped to [0, 1].
+def _survival_threshold(p):
+    """ceil(p * 2**53) as uint64, with p (a float or an array) clipped to [0, 1].
 
     For a 53-bit k, k < threshold holds exactly when k * 2**-53 < p: scaling
     by a power of two is exact, and k < x equals k < ceil(x) for integer k.
     At p = 1 the threshold is 2**53, which still fits a uint64.
     """
-    return math.ceil(min(max(p, 0.0), 1.0) * 2.0**53)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"survival probability must be finite, got {p!r}")
+    return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
 
 class _TallyPlan(NamedTuple):
@@ -258,23 +246,30 @@ class _TallyPlan(NamedTuple):
     fixed: bool
 
 
-def _tally_plan(analyzer: AnalyzerKind, n_cycles: int, message: str | None) -> _TallyPlan:
-    """The row's plan, from one scalar `survival_probability` per survival law."""
+def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
+                 message: str | None) -> list[_TallyPlan]:
+    """The rows' plans, from one array evaluation per analyzer and survival law."""
     sent = range(len(MESSAGES)) if message is None else (MESSAGES.index(message),)
-    inputs = [_SURVIVAL_INPUTS[analyzer][index] for index in sent]
-    p = {bell: survival_probability(analyzer, bell, n_cycles) for bell in set(inputs)}
-    limits = [_survival_threshold(p[bell]) for bell in inputs]
-    if len(set(limits)) == 1:
-        threshold = np.uint64(limits[0])
-    else:
-        threshold = np.array(limits, dtype=np.uint64)
-    wrong = tuple(index for index in _MIS_DECODED[analyzer] if index in sent)
-    return _TallyPlan(threshold, wrong, message is not None)
+    bells = [encode(MESSAGES[index]) for index in sent]
+    plans = [None] * len(batch)
+    for kind in {row[0] for row in batch}:
+        at = [i for i, row in enumerate(batch) if row[0] is kind]
+        n = np.array([batch[i][1] for i in at], dtype=float)
+        # The laws differ at most by Bell family: one evaluation per family sent.
+        laws = {bell.family: _survival_threshold(survival_law(kind, bell, n))
+                for bell in {bell.family: bell for bell in bells}.values()}
+        limits = np.stack([laws[bell.family] for bell in bells], axis=1)
+        if (limits == limits[:, :1]).all():
+            limits = limits[:, 0]
+        wrong = tuple(index for index in _MIS_DECODED[kind] if index in sent)
+        for i, threshold in zip(at, limits):
+            plans[i] = _TallyPlan(threshold, wrong, message is not None)
+    return plans
 
 
 def _tally(master_seed: int, stream_tag: int, start: int, count: int,
            plan: _TallyPlan) -> tuple[int, int]:
-    """One work unit: (survivors, decode errors) among shots [start, start + count)."""
+    """A piece of a work unit: (survivors, decode errors) among shots [start, start + count)."""
     words = shot_uniforms(master_seed, start, count, stream_tag)
     # Word 1's top 53 bits decide survival and word 0's top two bits pick
     # the message; a fixed message still burns word 0.
@@ -311,79 +306,84 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
     )
 
 
+def _units(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, message: str | None):
+    """Work units of (row, plan, start, count) pieces, from rows planned a batch at a time.
+
+    A row of more than _CHUNK_SHOTS shots is cut into chunks of that many,
+    one unit each; shorter rows of a batch are packed whole, as many to a
+    unit as fit.
+    """
+    rows = iter(rows)
+    starts = range(0, shots, _CHUNK_SHOTS)
+    while batch := [(AnalyzerKind(analyzer), n_cycles, stream_tag)
+                    for analyzer, n_cycles, stream_tag in itertools.islice(rows, _BATCH_ROWS)]:
+        pieces = ((row, plan, start, min(_CHUNK_SHOTS, shots - start))
+                  for row, plan in zip(batch, _tally_plans(batch, message)) for start in starts)
+        while unit := list(itertools.islice(pieces, max(_CHUNK_SHOTS // shots, 1))):
+            yield unit
+
+
+def _run_unit(master_seed: int, unit) -> list[tuple[int, int]]:
+    return [_tally(master_seed, stream_tag, start, count, plan)
+            for (_, _, stream_tag), plan, start, count in unit]
+
+
 def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
              message: str | None = None,
              threads: int | None = None) -> Iterator[EfficiencyEstimate]:
     """Monte-Carlo sessions of `shots` shots for many rows, yielded in row order.
 
     Each row is (analyzer, n_cycles, stream_tag) and draws from its own
-    stream; rows are taken from the iterable one at a time, as they are
-    needed. A row's shots are split into work units of at most 2**16. With
-    more than one thread (the argument, else SDC_THREADS), units of at least
-    _FANOUT_SHOTS shots and more than one unit in all, the units of all rows
-    run on one pool, a bounded window of them in flight; an exception, in a
-    unit or in the caller, cancels the units not yet started. Otherwise they
-    run in turn. Either way every row's counts are an order-independent sum
-    over its units, so the results do not depend on the thread count, and
-    memory grows with neither the row count nor `shots`: units are taken
-    from a range and summed as they finish.
+    stream. Rows are taken a bounded batch at a time, as they are needed,
+    and packed into work units of at most 2**16 shots (see `_units`). With
+    one thread (the argument, else SDC_THREADS) or a single unit, the units
+    run in turn on the calling thread; otherwise on a pool made when the
+    second unit appears, a bounded window of them in flight, and an
+    exception, in a unit or in the caller, cancels the units not yet
+    started. Every row's counts are an order-independent sum over its
+    units, so the results do not depend on the thread count, and memory
+    grows with neither the row count nor `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if message is not None and message not in MESSAGES:
         raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
     threads = _resolve_threads(threads)
-    starts = range(0, shots, _CHUNK_SHOTS)
-    # Peek at two rows: a lone row of one unit runs serially.
-    rows = iter(rows)
-    head = list(itertools.islice(rows, 2))
-    rows = ((AnalyzerKind(analyzer), n_cycles, stream_tag)
-            for analyzer, n_cycles, stream_tag in itertools.chain(head, rows))
-    if threads == 1 or len(head) * len(starts) == 1 or min(_CHUNK_SHOTS, shots) < _FANOUT_SHOTS:
-        for analyzer, n_cycles, stream_tag in rows:
-            plan = _tally_plan(analyzer, n_cycles, message)
-            survived = errors = 0
-            for start in starts:
-                unit = _tally(master_seed, stream_tag, start, min(_CHUNK_SHOTS, shots - start),
-                              plan)
-                survived += unit[0]
-                errors += unit[1]
-            yield _estimate(analyzer, n_cycles, shots, survived, errors)
-        return
-
-    pool = ThreadPoolExecutor(max_workers=threads)
-    in_flight = collections.deque()  # ((analyzer, n_cycles), future), oldest first
-    done = survived = errors = 0  # the finished units of the oldest unfinished row
+    units = _units(rows, shots, message)
+    # Peek at a second unit before making a pool: a lone unit runs inline.
+    head = list(itertools.islice(units, 1 if threads == 1 else 2))
+    pool = ThreadPoolExecutor(max_workers=threads) if len(head) > 1 else None
+    window = _WINDOW_PER_THREAD * threads if pool else 0
+    in_flight = collections.deque()  # (unit, its future or counts), oldest first
+    survived = errors = 0  # the finished pieces of the oldest unfinished row
 
     def settle(limit):
-        # Wait for the oldest units until at most `limit` are in flight, and
-        # yield each row whose last unit that finishes.
-        nonlocal done, survived, errors
+        # Take the oldest units until at most `limit` are in flight, and
+        # yield each row whose last piece that finishes.
+        nonlocal survived, errors
         while len(in_flight) > limit:
-            (analyzer, n_cycles), future = in_flight.popleft()
-            unit = future.result()
-            done += 1
-            survived += unit[0]
-            errors += unit[1]
-            if done == len(starts):
-                yield _estimate(analyzer, n_cycles, shots, survived, errors)
-                done = survived = errors = 0
+            unit, counts = in_flight.popleft()
+            for ((analyzer, n_cycles, _), _, start, count), (s, e) in zip(
+                    unit, counts.result() if pool else counts):
+                survived += s
+                errors += e
+                if start + count == shots:
+                    yield _estimate(analyzer, n_cycles, shots, survived, errors)
+                    survived = errors = 0
 
-    window = _WINDOW_PER_THREAD * threads
     try:
-        for analyzer, n_cycles, stream_tag in rows:
-            plan = _tally_plan(analyzer, n_cycles, message)
-            for start in starts:
-                yield from settle(window - 1)
-                in_flight.append(((analyzer, n_cycles),
-                                  pool.submit(_tally, master_seed, stream_tag, start,
-                                              min(_CHUNK_SHOTS, shots - start), plan)))
+        for unit in itertools.chain(head, units):
+            in_flight.append((unit, pool.submit(_run_unit, master_seed, unit) if pool
+                              else _run_unit(master_seed, unit)))
+            yield from settle(window)
         yield from settle(0)
     except BaseException:
-        # Units already running finish on their own; their counts are dropped.
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool:
+            # Units already running finish on their own; their counts are dropped.
+            pool.shutdown(wait=False, cancel_futures=True)
         raise
-    pool.shutdown()
+    if pool:
+        pool.shutdown()
 
 
 def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,

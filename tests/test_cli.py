@@ -234,17 +234,20 @@ class TestSweep:
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_sweep_leaves_the_target_as_it_was(self, capsys, monkeypatch, tmp_path,
                                                       fmt, error):
+        # Rows of 40,000 shots make a unit each, and plans are built row by
+        # row, so rows 1 and 2 are run and written before row 3's plan fails.
         target = tmp_path / "sweep.out"
         target.write_text("earlier result\n")
-        real_plan = protocol._tally_plan
+        real_plans = protocol._tally_plans
 
-        def failing_plan(kind, n, message):
-            if n == 3:
+        def failing_plans(batch, message):
+            if any(n == 3 for _, n, _ in batch):
                 raise error("row 3 failed")
-            return real_plan(kind, n, message)
+            return real_plans(batch, message)
 
-        monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
-        argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=4", "--shots=100",
+        monkeypatch.setattr(protocol, "_BATCH_ROWS", 1)
+        monkeypatch.setattr(protocol, "_tally_plans", failing_plans)
+        argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=4", "--shots=40000",
                 f"--format={fmt}", f"--out={target}"]
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
@@ -266,7 +269,7 @@ class TestSweep:
         #   plan:   the runner's plan for row 3 fails; row 1's units hold the
         #           workers and row 2's are queued.
         #   write:  computing row 1's text fails; row 2's units hold the
-        #           workers and row 3's first unit is queued.
+        #           workers and row 3's are queued.
         #   stream: the stream's write of row 1 fails; the same units wait.
         held_from, fail_row = (1, 3) if seam == "plan" else (2, 1)
         monkeypatch.setenv("SDC_THREADS", "2")
@@ -276,7 +279,7 @@ class TestSweep:
         events, workers = [], set()
         two_held, release = threading.Semaphore(0), threading.Event()
         real_uniforms = protocol.shot_uniforms
-        real_plan = protocol._tally_plan
+        real_plans = protocol._tally_plans
         real_r_analytic = metrics.r_analytic
 
         def held_uniforms(seed, start, count, tag=0):
@@ -293,10 +296,10 @@ class TestSweep:
             events.append(("failed", n))
             raise error(f"row {n} failed")
 
-        def failing_plan(kind, n, message):
-            if seam == "plan" and n == fail_row:
-                fail(n)
-            return real_plan(kind, n, message)
+        def failing_plans(batch, message):
+            if seam == "plan" and any(n == fail_row for _, n, _ in batch):
+                fail(fail_row)
+            return real_plans(batch, message)
 
         def failing_r_analytic(kind, n):
             if seam == "write" and n == fail_row:
@@ -308,10 +311,11 @@ class TestSweep:
                 fail(1)
 
         monkeypatch.setattr(protocol, "shot_uniforms", held_uniforms)
-        monkeypatch.setattr(protocol, "_tally_plan", failing_plan)
+        monkeypatch.setattr(protocol, "_BATCH_ROWS", 1)  # row 3 is planned after row 2 is sent
+        monkeypatch.setattr(protocol, "_tally_plans", failing_plans)
         monkeypatch.setattr(metrics, "r_analytic", failing_r_analytic)
         check_output_writes(monkeypatch, failing_stream)
-        shots = protocol._CHUNK_SHOTS + protocol._FANOUT_SHOTS
+        shots = protocol._CHUNK_SHOTS + 10_000
         argv = ["sweep", "--analyzer=ifm", "--n-min=1", "--n-max=6", f"--shots={shots}",
                 f"--format={fmt}", f"--out={target}"]
         excinfo = None
@@ -347,7 +351,6 @@ class TestSweep:
 
     @pytest.mark.parametrize("args, digest", POOLED_GRIDS)
     def test_pooled_rows_keep_every_byte(self, capsys, monkeypatch, args, digest):
-        assert 20_000 >= protocol._FANOUT_SHOTS
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         real_uniforms = protocol.shot_uniforms
         unit_threads = set()

@@ -30,9 +30,15 @@ def as_uniforms(words):
     return (words >> 11) * 2.0**-53
 
 
+def fresh_blocks(seed, shot, tag, n_shots=1):
+    """The raw words of shots [shot, shot + n_shots), from a generator of the test's own."""
+    bits = shot_stream(seed, shot, tag).bit_generator
+    return bits.random_raw(n_shots * DRAWS_PER_SHOT).reshape(n_shots, DRAWS_PER_SHOT)
+
+
 def block_words(seed, shot, tag):
     """Words 0 and 1 of the shot's block, from a fresh generator."""
-    w0, w1 = shot_uniforms(seed, shot, 1, tag)[0, :2].tolist()
+    w0, w1 = fresh_blocks(seed, shot, tag)[0, :2].tolist()
     return w0, w1
 
 
@@ -309,33 +315,56 @@ class TestShotStreams:
             shot_words(2**64, 11, 1)
         assert shot_words(4, 11, 1) == block_words(4, 11, 1)
 
-    # Calls as (seed, tag, first shot, run length, step): runs of consecutive
-    # shots forwards or backwards, repeats (step 0), across 2**64 and across
-    # the 2**256 wrap of the counter, with seeds and tags interleaved.
+    # Calls as (seed, tag, first shot, run length, step, width): runs of
+    # consecutive calls forwards or backwards, repeats (step 0), across 2**64
+    # and across the 2**256 wrap of the counter, with seeds and tags
+    # interleaved. Width None reads one shot with `shot_words`, a width n
+    # reads n shots with `shot_uniforms`; a forward run goes on from the
+    # shot after the last one read.
     CALL_RUNS = st.lists(
         st.tuples(st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([0, 1, 2**64 - 1]),
                   st.one_of(st.integers(0, 40), st.integers(2**64 - 4, 2**64 + 4),
                             st.integers(2**256 - 4, 2**256 + 4)),
-                  st.integers(1, 6), st.sampled_from([1, -1, 0])),
+                  st.integers(1, 6), st.sampled_from([1, -1, 0]),
+                  st.sampled_from([None, None, 0, 1, 3])),
         min_size=1, max_size=8)
 
     @staticmethod
     def calls_of(runs):
-        return [(seed, max(first + step * k, 0), tag)
-                for seed, tag, first, length, step in runs for k in range(length)]
+        return [(seed, max(first + step * k * (1 if width is None else width), 0), tag, width)
+                for seed, tag, first, length, step, width in runs for k in range(length)]
+
+    @staticmethod
+    def read(seed, shot, tag, width):
+        if width is None:
+            return shot_words(seed, shot, tag)
+        return shot_uniforms(seed, shot, width, tag).tolist()
+
+    @staticmethod
+    def expected(seed, shot, tag, width):
+        if width is None:
+            return block_words(seed, shot, tag)
+        return fresh_blocks(seed, shot, tag, width).tolist()
 
     @given(runs=CALL_RUNS)
-    @example(runs=[(0, 0, 0, 3, 1), (0, 1, 3, 3, 1)])      # the tag changes, the shots go on
-    @example(runs=[(0, 0, 0, 3, 1), (1, 0, 3, 3, 1)])      # the seed changes, the shots go on
-    @example(runs=[(0, 0, 5, 3, -1), (0, 0, 5, 2, 0)])     # backwards, then repeats
-    @example(runs=[(1, 1, 2**256 - 2, 4, 1)])              # across the counter wrap
-    @example(runs=[(1, 1, 2**64 - 2, 4, 1)])
+    @example(runs=[(0, 0, 0, 3, 1, None), (0, 1, 3, 3, 1, None)])  # the tag changes, the shots go on
+    @example(runs=[(0, 0, 0, 3, 1, 2), (0, 1, 6, 3, 1, None)])
+    @example(runs=[(0, 0, 0, 3, 1, None), (1, 0, 3, 3, 1, None)])  # the seed changes, the shots go on
+    @example(runs=[(0, 0, 5, 3, -1, None), (0, 0, 5, 2, 0, None)])  # backwards, then repeats
+    @example(runs=[(1, 1, 2**256 - 2, 4, 1, None)])                # across the counter wrap
+    @example(runs=[(1, 1, 2**256 - 2, 2, 1, 3)])
+    @example(runs=[(1, 1, 2**64 - 2, 4, 1, None)])
+    @example(runs=[(1, 1, 2**64 - 2, 4, 1, 1)])
+    # A block read leaves the walk at the shot after it, and reading none moves nothing.
+    @example(runs=[(2, 3, 9, 1, 1, None), (2, 3, 10, 1, 1, 3), (2, 3, 13, 1, 1, 0),
+                   (2, 3, 10, 1, 1, None), (2, 3, 13, 1, 1, None)])
     def test_any_call_sequence_reads_each_shots_own_block(self, runs):
-        for seed, shot, tag in self.calls_of(runs):
-            assert shot_words(seed, shot, tag) == block_words(seed, shot, tag)
+        for call in self.calls_of(runs):
+            assert self.read(*call) == self.expected(*call)
 
     @given(runs=CALL_RUNS, other=CALL_RUNS)
-    @example(runs=[(0, 0, 0, 6, 1)], other=[(0, 1, 0, 6, 1)])
+    @example(runs=[(0, 0, 0, 6, 1, None)], other=[(0, 1, 0, 6, 1, None)])
+    @example(runs=[(0, 0, 0, 6, 1, 2)], other=[(0, 0, 1, 6, 1, None)])
     def test_two_threads_interleaved_each_read_their_own_blocks(self, runs, other):
         # The threads take turns call by call, each walking its own sequence.
         sequences = [self.calls_of(runs), self.calls_of(other)]
@@ -343,9 +372,9 @@ class TestShotStreams:
         read = [[], []]
 
         def worker(me):
-            for seed, shot, tag in sequences[me]:
+            for call in sequences[me]:
                 turns[me].acquire()
-                read[me].append(shot_words(seed, shot, tag))
+                read[me].append(self.read(*call))
                 turns[1 - me].release()
             for _ in sequences[1 - me][len(sequences[me]):]:
                 turns[me].acquire()
@@ -358,7 +387,7 @@ class TestShotStreams:
             thread.join(30)
             assert not thread.is_alive()
         for me in (0, 1):
-            assert read[me] == [block_words(*call) for call in sequences[me]]
+            assert read[me] == [self.expected(*call) for call in sequences[me]]
 
     def test_each_thread_reads_its_own_words(self):
         # Four threads read in lockstep, switching often; each must still

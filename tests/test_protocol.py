@@ -1,5 +1,6 @@
 """Superdense-coding protocol: encode/decode, shot runner, Monte-Carlo estimator."""
 
+import dataclasses
 import hashlib
 import os
 import threading
@@ -7,11 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from unittest import mock
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zenodense import protocol
 from zenodense.analyzers import (
+    ANALYZERS,
     AnalyzerKind,
     BellState,
     DetectorPair,
@@ -24,7 +28,7 @@ from zenodense.protocol import (
     MESSAGES,
     _resolve_threads,
     _survival_threshold,
-    _tally_plan,
+    _tally_plans,
     decode,
     encode,
     run_protocol,
@@ -384,11 +388,11 @@ class TestIntegerTally:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_plan_thresholds_equal_per_message_scalar_thresholds(self, kind, message):
         sent = MESSAGES if message is None else (message,)
-        for n in (1, 2, 12, 18, 97, 1000):
-            threshold = _tally_plan(kind, n, message).threshold
+        ns = (1, 2, 12, 18, 97, 1000)
+        for n, plan in zip(ns, _tally_plans([(kind, n, 0) for n in ns], message), strict=True):
             expected = [_survival_threshold(survival_probability(kind, encode(msg), n))
                         for msg in sent]
-            assert np.broadcast_to(threshold, len(sent)).tolist() == expected
+            assert np.broadcast_to(plan.threshold, len(sent)).tolist() == expected
 
 
 class TestRunRows:
@@ -411,10 +415,46 @@ class TestRunRows:
             simulate(kind, n, shots, 5, message="01", stream_tag=tag)
             for kind, n, tag in self.ROWS]
 
-    @pytest.mark.parametrize("shots, pools", [(protocol._FANOUT_SHOTS - 1, 0),
-                                              (protocol._FANOUT_SHOTS, 1), (70_000, 1)])
-    def test_one_pool_per_call_and_only_from_the_shot_threshold(self, monkeypatch, two_cpus,
-                                                              shots, pools):
+    # sha256 over every EfficiencyEstimate field of the grid below, recorded
+    # before rows were packed into shared work units.
+    GRID_DIGEST = "760fc5bfd56220047f2f2f8c29a3af08e4392f219cd006efe67a331731f9c460"
+    GRID_ROWS = [(kind, n, index * (1 << 32) + n) for index, kind in enumerate(AnalyzerKind)
+                 for n in (1, 2, 18, 36, 51, 12345, 10**6)]
+    GRID_SHOTS = (1, 2_000, 21_845, 21_846, 32_768, 65_535, 65_536, 65_537, 70_000)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_the_recorded_digest(self, two_cpus, threads):
+        digest = hashlib.sha256()
+        for shots in self.GRID_SHOTS:
+            for message in (None, "10"):
+                for e in run_rows(self.GRID_ROWS, shots, 11, message=message, threads=threads):
+                    digest.update(
+                        f"{e.analyzer.value},{e.n_cycles},{e.shots},{e.r_hat.hex()},"
+                        f"{e.ci95[0].hex()},{e.ci95[1].hex()},{e.lost_fraction.hex()},"
+                        f"{e.decode_error_count},{e.correct}\n".encode())
+        assert digest.hexdigest() == self.GRID_DIGEST
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(st.sampled_from(ALL_KINDS),
+                                   st.one_of(st.integers(1, 60), st.integers(1, 10**6)),
+                                   st.integers(0, 2**64 - 1)), min_size=1, max_size=7),
+           shots=st.one_of(st.integers(1, 3_000),
+                           st.sampled_from([21_845, 21_846, 32_768, 65_535, 65_536, 65_537])),
+           message=st.sampled_from([None, *MESSAGES]), threads=st.sampled_from([1, 2]),
+           batch=st.sampled_from([1, 2, 3, protocol._BATCH_ROWS]))
+    @example(rows=[(AnalyzerKind.IFM, 18, 0)] * 5, shots=21_845, message=None, threads=2, batch=2)
+    def test_rows_equal_one_row_sessions(self, two_cpus, rows, shots, message, threads, batch):
+        # However rows fall into plan batches and work units, each equals its own session.
+        with mock.patch.object(protocol, "_BATCH_ROWS", batch):
+            got = list(run_rows(rows, shots, 3, message=message, threads=threads))
+        assert got == [simulate(kind, n, shots, 3, message=message, stream_tag=tag, threads=1)
+                       for kind, n, tag in rows]
+
+    # shots per row 2**14 packs the four rows in one unit; one more shot takes two.
+    @pytest.mark.parametrize("shots, pools", [(2**14, 0), (2**14 + 1, 1), (70_000, 1)])
+    def test_one_pool_per_call_and_only_from_the_second_unit(self, monkeypatch, two_cpus,
+                                                             shots, pools):
         made = []
 
         class CountingPool(protocol.ThreadPoolExecutor):
@@ -436,26 +476,42 @@ class TestRunRows:
                                  threads=2))) == 1
         assert len(made) == 2 * pools + 1
 
-    def test_runner_thresholds_are_scalar_evaluations(self, monkeypatch):
-        # At these N numpy's vectorized pow is one ulp below libm's for the
-        # ifm Phi law, which would lower the threshold by one
-        # (7332208221475705 at N = 18).
+    # A log grid of N up to 1e6, with the N at which numpy's vectorized pow
+    # was one ulp below libm's for the ifm Phi law (7332208221475705 at N = 18).
+    THRESHOLD_NS = (18, 36, 51, *np.unique(np.geomspace(1, 10**6, 400).astype(int)).tolist())
+
+    @pytest.mark.parametrize("message", [None, "10"])
+    def test_runner_thresholds_are_scalar_evaluations(self, monkeypatch, message):
         plans = []
-        real_plan = protocol._tally_plan
+        real_plans = protocol._tally_plans
 
-        def spy(*args):
-            plans.append(real_plan(*args))
-            return plans[-1]
+        def spy(batch, message):
+            plans.extend(real_plans(batch, message))
+            return plans[len(plans) - len(batch):]
 
-        monkeypatch.setattr(protocol, "_tally_plan", spy)
-        ns = (18, 36, 51)
-        list(run_rows([(AnalyzerKind.IFM, n, 0) for n in ns], 1, 0))
-        for n, plan in zip(ns, plans, strict=True):
-            phi = _survival_threshold(survival_probability(AnalyzerKind.IFM,
-                                                           BellState.PHI_PLUS, n))
-            assert int(plan.threshold[MESSAGES.index("00")]) == phi
-            assert int(plan.threshold[MESSAGES.index("10")]) == phi
-        assert int(plans[0].threshold[0]) == 7332208221475706
+        monkeypatch.setattr(protocol, "_tally_plans", spy)
+        rows = [(kind, n, 0) for kind in ALL_KINDS for n in self.THRESHOLD_NS]
+        list(run_rows(rows, 1, 0, message=message))
+        sent = MESSAGES if message is None else (message,)
+        for (kind, n, _), plan in zip(rows, plans, strict=True):
+            expected = [_survival_threshold(survival_probability(kind, encode(msg), n))
+                        for msg in sent]
+            assert np.broadcast_to(plan.threshold, len(sent)).tolist() == expected
+        ifm_at_18 = plans[len(self.THRESHOLD_NS)].threshold
+        assert int(np.broadcast_to(ifm_at_18, len(sent))[0]) == 7332208221475706
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_survival_raises(self, monkeypatch, bad):
+        # Cast to uint64, a NaN or an infinity would become an arbitrary threshold.
+        spec = ANALYZERS[AnalyzerKind.DQZ]
+        monkeypatch.setitem(ANALYZERS, AnalyzerKind.DQZ, dataclasses.replace(
+            spec, stage=lambda n: np.where(n == 7, bad, spec.stage(n))))
+        rows = [(AnalyzerKind.DQZ, n, 0) for n in (5, 6, 7, 8)]
+        with pytest.raises(ValueError, match="finite"):
+            list(run_rows(rows, 100, 1))
+        with pytest.raises(ValueError, match="finite"):
+            _survival_threshold(bad)
+        assert [e.n_cycles for e in run_rows(rows[:2], 100, 1)] == [5, 6]
 
     def test_a_failing_unit_reaches_the_caller(self, monkeypatch, two_cpus):
         real_uniforms = protocol.shot_uniforms
@@ -506,15 +562,15 @@ class TestRunRows:
         peak = self.peak_bytes(lambda: session(units))
         assert peak < self.peak_bytes(lambda: session(10)) + 64 * 1024
 
-    @pytest.mark.parametrize("threads, shots, n_rows", [(1, 1, 30_000),
-                                                        (2, protocol._FANOUT_SHOTS, 3_000)])
+    @pytest.mark.parametrize("threads, shots, n_rows", [(1, 1, 30_000), (2, 10_000, 3_000),
+                                                        (2, 2_000, 3_000)])
     def test_memory_does_not_grow_with_rows(self, monkeypatch, two_cpus, threads, shots, n_rows):
-        # Rows are taken from a generator as they are needed: with the tally
-        # and its plan stubbed out, many rows must peak no higher than ten.
+        # Rows are taken from a generator a batch at a time: with the tally
+        # and its plans stubbed out, many rows must peak no higher than ten.
         # Holding the rows as tuples took about 100 bytes each.
-        plan = _tally_plan(AnalyzerKind.DQZ, 12, None)
+        (plan,) = _tally_plans([(AnalyzerKind.DQZ, 12, 0)], None)
         monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
-        monkeypatch.setattr(protocol, "_tally_plan", lambda kind, n, message: plan)
+        monkeypatch.setattr(protocol, "_tally_plans", lambda batch, message: [plan] * len(batch))
 
         def sweep(count):
             rows = ((AnalyzerKind.DQZ, 12, tag) for tag in range(count))
