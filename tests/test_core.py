@@ -314,6 +314,10 @@ class TestShotStreams:
         with pytest.raises(ValueError):
             shot_words(2**64, 11, 1)
         assert shot_words(4, 11, 1) == block_words(4, 11, 1)
+        # A draw too large to allocate fails after the generator was re-keyed.
+        with pytest.raises(ValueError, match="too big"):
+            shot_uniforms(5, 0, 2**60, 1)
+        assert shot_words(4, 12, 1) == block_words(4, 12, 1)
 
     # Calls as (seed, tag, first shot, run length, step, width): runs of
     # consecutive calls forwards or backwards, repeats (step 0), across 2**64
@@ -347,9 +351,11 @@ class TestShotStreams:
         return fresh_blocks(seed, shot, tag, width).tolist()
 
     @given(runs=CALL_RUNS)
-    @example(runs=[(0, 0, 0, 3, 1, None), (0, 1, 3, 3, 1, None)])  # the tag changes, the shots go on
+    # The tag changes, the shots go on.
+    @example(runs=[(0, 0, 0, 3, 1, None), (0, 1, 3, 3, 1, None)])
     @example(runs=[(0, 0, 0, 3, 1, 2), (0, 1, 6, 3, 1, None)])
-    @example(runs=[(0, 0, 0, 3, 1, None), (1, 0, 3, 3, 1, None)])  # the seed changes, the shots go on
+    # The seed changes, the shots go on.
+    @example(runs=[(0, 0, 0, 3, 1, None), (1, 0, 3, 3, 1, None)])
     @example(runs=[(0, 0, 5, 3, -1, None), (0, 0, 5, 2, 0, None)])  # backwards, then repeats
     @example(runs=[(1, 1, 2**256 - 2, 4, 1, None)])                # across the counter wrap
     @example(runs=[(1, 1, 2**256 - 2, 2, 1, 3)])
@@ -357,7 +363,7 @@ class TestShotStreams:
     @example(runs=[(1, 1, 2**64 - 2, 4, 1, 1)])
     # A block read leaves the walk at the shot after it, and reading none moves nothing.
     @example(runs=[(2, 3, 9, 1, 1, None), (2, 3, 10, 1, 1, 3), (2, 3, 13, 1, 1, 0),
-                   (2, 3, 10, 1, 1, None), (2, 3, 13, 1, 1, None)])
+                   (2, 3, 13, 2, 1, None)])
     def test_any_call_sequence_reads_each_shots_own_block(self, runs):
         for call in self.calls_of(runs):
             assert self.read(*call) == self.expected(*call)

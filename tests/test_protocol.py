@@ -5,11 +5,10 @@ import hashlib
 import os
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from unittest import mock
-
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
