@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analyzers import (
+    ANALYZERS,
     AnalyzerKind,
     AnalyzerOutcome,
     BellState,
@@ -205,6 +206,11 @@ def _resolve_threads(threads: int | None) -> int:
 
 _CHUNK_SHOTS = 1 << 16  # shots per work unit at most
 
+# Rows of fewer shots run inline whatever the thread count: their Python work
+# holds the interpreter lock, however many rows a unit packs, and outweighs the
+# draws a pool overlaps (on 2 threads of a 2-vCPU VM; BENCH_pool_rows.json).
+_POOL_ROW_SHOTS = 2_000
+
 # Rows planned together: enough to spread the closed forms' per-call cost
 # thin, few enough that the rows and units in hand stay under 64 KiB.
 _BATCH_ROWS = 64
@@ -251,20 +257,18 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
     """The rows' plans, from one array evaluation per analyzer and survival law."""
     sent = range(len(MESSAGES)) if message is None else (MESSAGES.index(message),)
     bells = [encode(MESSAGES[index]) for index in sent]
-    plans = [None] * len(batch)
+    plans = {}  # per analyzer, its rows' plans in row order
     for kind in {row[0] for row in batch}:
-        at = [i for i, row in enumerate(batch) if row[0] is kind]
-        n = np.array([batch[i][1] for i in at], dtype=float)
-        # The laws differ at most by Bell family: one evaluation per family sent.
-        laws = {bell.family: _survival_threshold(survival_law(kind, bell, n))
-                for bell in {bell.family: bell for bell in bells}.values()}
-        limits = np.stack([laws[bell.family] for bell in bells], axis=1)
-        if (limits == limits[:, :1]).all():
-            limits = limits[:, 0]
+        n = np.array([row[1] for row in batch if row[0] is kind], dtype=float)
+        # A law differs by Bell family only through a phi factor: one evaluation per law sent.
+        split = ANALYZERS[kind].phi_factor is not None
+        laws = {bell.family if split else None: bell for bell in bells}
+        laws = {key: _survival_threshold(survival_law(kind, bell, n)) for key, bell in laws.items()}
+        limits = (laws.popitem()[1] if len(laws) == 1
+                  else np.stack([laws[bell.family] for bell in bells], axis=1))
         wrong = tuple(index for index in _MIS_DECODED[kind] if index in sent)
-        for i, threshold in zip(at, limits):
-            plans[i] = _TallyPlan(threshold, wrong, message is not None)
-    return plans
+        plans[kind] = iter([_TallyPlan(limit, wrong, message is not None) for limit in limits])
+    return [next(plans[row[0]]) for row in batch]
 
 
 def _tally(master_seed: int, stream_tag: int, start: int, count: int,
@@ -273,11 +277,8 @@ def _tally(master_seed: int, stream_tag: int, start: int, count: int,
     words = shot_uniforms(master_seed, start, count, stream_tag)
     # Word 1's top 53 bits decide survival and word 0's top two bits pick
     # the message; a fixed message still burns word 0.
-    drawn = words[:, 1] >> 11
-    if plan.threshold.ndim == 0:
-        survived = drawn < plan.threshold
-    else:
-        survived = drawn < plan.threshold[words[:, 0] >> 62]
+    threshold = plan.threshold if plan.threshold.ndim == 0 else plan.threshold[words[:, 0] >> 62]
+    survived = (words[:, 1] >> 11) < threshold
     n_survived = int(np.count_nonzero(survived))
     # The surviving pair is deterministic per message, so decode errors are
     # the survivors among the message classes that mis-decode.
@@ -307,12 +308,8 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
 
 
 def _units(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, message: str | None):
-    """Work units of (row, plan, start, count) pieces, from rows planned a batch at a time.
-
-    A row of more than _CHUNK_SHOTS shots is cut into chunks of that many,
-    one unit each; shorter rows of a batch are packed whole, as many to a
-    unit as fit.
-    """
+    """Work units of (row, plan, start, count) pieces, from rows planned a batch at a time:
+    a chunk of at most _CHUNK_SHOTS shots of a longer row, or as many whole rows as fit."""
     rows = iter(rows)
     starts = range(0, shots, _CHUNK_SHOTS)
     while batch := [(AnalyzerKind(analyzer), n_cycles, stream_tag)
@@ -334,15 +331,17 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     """Monte-Carlo sessions of `shots` shots for many rows, yielded in row order.
 
     Each row is (analyzer, n_cycles, stream_tag) and draws from its own
-    stream. Rows are taken a bounded batch at a time, as they are needed,
-    and packed into work units of at most 2**16 shots (see `_units`). With
-    one thread (the argument, else SDC_THREADS) or a single unit, the units
-    run in turn on the calling thread; otherwise on a pool made when the
-    second unit appears, a bounded window of them in flight, and an
-    exception, in a unit or in the caller, cancels the units not yet
-    started. Every row's counts are an order-independent sum over its
-    units, so the results do not depend on the thread count, and memory
-    grows with neither the row count nor `shots`.
+    stream. Rows are planned a bounded batch at a time, as they are needed,
+    so a row whose plan fails (N < 1, a non-finite survival) fails its batch
+    before any row of it is yielded; they are packed into work units of at
+    most 2**16 shots (see `_units`). With more than one thread (the argument,
+    else SDC_THREADS) and rows of _POOL_ROW_SHOTS shots or more, the units
+    run on a pool made when a second unit appears, a bounded window of them
+    in flight; an exception, in a unit or in the caller, cancels the units
+    not yet started. Otherwise they run in turn on the calling thread. Every
+    row's counts are an order-independent sum over its units, so the results
+    do not depend on the thread count, and memory grows with neither the row
+    count nor `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -351,7 +350,7 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     threads = _resolve_threads(threads)
     units = _units(rows, shots, message)
     # Peek at a second unit before making a pool: a lone unit runs inline.
-    head = list(itertools.islice(units, 1 if threads == 1 else 2))
+    head = list(itertools.islice(units, 1 if threads == 1 or shots < _POOL_ROW_SHOTS else 2))
     pool = ThreadPoolExecutor(max_workers=threads) if len(head) > 1 else None
     window = _WINDOW_PER_THREAD * threads if pool else 0
     in_flight = collections.deque()  # (unit, its future or counts), oldest first

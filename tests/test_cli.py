@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from zenodense import cli, metrics, protocol
@@ -254,6 +255,37 @@ class TestSweep:
                 main(argv)
         else:
             assert run_cli(capsys, *argv)[0] == 2
+        assert target.read_text() == "earlier result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_failing_row_fails_its_batch_and_leaves_the_target(self, capsys, monkeypatch,
+                                                                 tmp_path, threads):
+        # At the default batch size rows 1 to 64 are planned together, then
+        # rows 65 to 100: row 70's non-finite survival fails the second batch
+        # before any of its rows is drawn.
+        monkeypatch.setenv("SDC_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        target = tmp_path / "sweep.out"
+        target.write_text("earlier result\n")
+        drawn, workers = set(), set()
+        real_law, real_uniforms = protocol.survival_law, protocol.shot_uniforms
+
+        def drawing(seed, start, count, tag=0):
+            drawn.add(tag % (1 << 32))
+            workers.add(threading.current_thread())
+            return real_uniforms(seed, start, count, tag)
+
+        monkeypatch.setattr(protocol, "survival_law", lambda kind, bell, n: np.where(
+            n == 70, np.nan, real_law(kind, bell, n)))
+        monkeypatch.setattr(protocol, "shot_uniforms", drawing)
+        code, _, err = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1", "--n-max=100",
+                               f"--shots={protocol._POOL_ROW_SHOTS}", f"--out={target}")
+        for worker in workers - {threading.current_thread()}:  # units left running
+            worker.join(30)
+        assert code == 2 and "finite" in err
+        batch = set(range(1, protocol._BATCH_ROWS + 1))
+        assert drawn == batch if threads == "1" else drawn <= batch
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
 

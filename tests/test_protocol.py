@@ -1,5 +1,6 @@
 """Superdense-coding protocol: encode/decode, shot runner, Monte-Carlo estimator."""
 
+import collections
 import dataclasses
 import hashlib
 import os
@@ -393,6 +394,22 @@ class TestIntegerTally:
                         for msg in sent]
             assert np.broadcast_to(plan.threshold, len(sent)).tolist() == expected
 
+    @pytest.mark.parametrize("message", [None, "10"])
+    def test_one_array_evaluation_per_survival_law(self, monkeypatch, message):
+        # Only ifm's law depends on the Bell family, and only uniform
+        # messages send both families.
+        calls = collections.Counter()
+        real_law = protocol.survival_law
+
+        def counting(kind, bell, n):
+            calls[kind, n.size] += 1
+            return real_law(kind, bell, n)
+
+        monkeypatch.setattr(protocol, "survival_law", counting)
+        _tally_plans([(kind, n, 0) for n in (1, 2, 12) for kind in ALL_KINDS], message)
+        assert calls == collections.Counter({(AnalyzerKind.DQZ, 3): 1, (AnalyzerKind.QZ, 3): 1,
+                                             (AnalyzerKind.IFM, 3): 2 if message is None else 1})
+
 
 class TestRunRows:
     ROWS = [(AnalyzerKind.IFM, 5, 3), (AnalyzerKind.DQZ, 12, 0), (AnalyzerKind.QZ, 2, 1 << 32),
@@ -450,10 +467,9 @@ class TestRunRows:
         assert got == [simulate(kind, n, shots, 3, message=message, stream_tag=tag, threads=1)
                        for kind, n, tag in rows]
 
-    # shots per row 2**14 packs the four rows in one unit; one more shot takes two.
-    @pytest.mark.parametrize("shots, pools", [(2**14, 0), (2**14 + 1, 1), (70_000, 1)])
-    def test_one_pool_per_call_and_only_from_the_second_unit(self, monkeypatch, two_cpus,
-                                                             shots, pools):
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The pools `run_rows` makes, in order."""
         made = []
 
         class CountingPool(protocol.ThreadPoolExecutor):
@@ -462,6 +478,12 @@ class TestRunRows:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+        return made
+
+    # shots per row 2**14 packs the four rows in one unit; one more shot takes two.
+    @pytest.mark.parametrize("shots, pools", [(2**14, 0), (2**14 + 1, 1), (70_000, 1)])
+    def test_one_pool_per_call_and_only_from_the_second_unit(self, two_cpus, made,
+                                                             shots, pools):
         assert len(list(run_rows(self.ROWS, shots, 5, threads=2))) == len(self.ROWS)
         assert len(list(run_rows(iter(self.ROWS), shots, 5, threads=2))) == len(self.ROWS)
         assert len(made) == 2 * pools
@@ -474,6 +496,15 @@ class TestRunRows:
         assert len(list(run_rows(iter(self.ROWS[:1]), protocol._CHUNK_SHOTS + 1, 5,
                                  threads=2))) == 1
         assert len(made) == 2 * pools + 1
+
+    # Three or more units of rows, pooled only from _POOL_ROW_SHOTS shots a row.
+    @pytest.mark.parametrize("shots, pools", [(1, 0), (100, 0), (protocol._POOL_ROW_SHOTS - 1, 0),
+                                              (protocol._POOL_ROW_SHOTS, 1)])
+    def test_rows_of_few_shots_run_inline(self, two_cpus, made, shots, pools):
+        rows = [(AnalyzerKind.IFM, 18, tag) for tag in range(3 * protocol._BATCH_ROWS)]
+        expected = list(run_rows(rows, shots, 5, threads=1))
+        assert list(run_rows(iter(rows), shots, 5, threads=2)) == expected
+        assert len(made) == pools
 
     # A log grid of N up to 1e6, with the N at which numpy's vectorized pow
     # was one ulp below libm's for the ifm Phi law (7332208221475705 at N = 18).
