@@ -3,8 +3,8 @@
 Charlie always emits an ideal Phi+ pair; Alice encodes two classical bits by
 a Pauli on her electron; Bob runs one of the three Bell-state analyzers and
 decodes the click pair. A lost photon delivers zero bits and no
-retransmission is attempted, so the throughput estimator is
-r_hat = 2 * (surviving and correctly decoded) / shots.
+retransmission is attempted. A surviving pair names the Bell state sent (checked
+at import), so the estimator is r_hat = 2 * survivors / shots, no decode errors.
 
 Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
@@ -24,7 +24,6 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,8 @@ from .analyzers import (
     survival_law,
     survival_probability,  # noqa: F401
 )
-# shot_stream and survival_probability stay importable here, beside the per-shot layers.
+# bench/layers.py wraps shot_stream and survival_probability on this module;
+# they can go once its traced run no longer does (ROADMAP item 1).
 from .core import shot_stream, shot_uniforms, shot_words  # noqa: F401
 
 MESSAGES = ("00", "01", "10", "11")
@@ -91,10 +91,14 @@ def encode(message: str) -> BellState:
 
 
 def _decode_table(analyzer: AnalyzerKind) -> dict[DetectorPair, BellState]:
+    # A pair two Bell states share would mis-decode: the package then fails to import.
     table: dict[DetectorPair, BellState] = {}
     for bell in _MESSAGE_TO_BELL.values():
         for m in (0, 1):
-            table[click_pair(analyzer, bell, m)] = bell
+            pair = click_pair(analyzer, bell, m)
+            if table.setdefault(pair, bell) is not bell:
+                raise AssertionError(
+                    f"{analyzer.value}: {pair} names {table[pair].symbol} and {bell.symbol}")
     return table
 
 
@@ -148,8 +152,8 @@ class EfficiencyEstimate:
     r_hat: float
     ci95: tuple[float, float]
     lost_fraction: float
-    decode_error_count: int
-    correct: int
+    decode_error_count: int  # always 0: `_decode_table` checks at import that none can occur
+    correct: int  # the survivors
 
     def __post_init__(self):
         if not 0.0 <= self.r_hat <= 2.0:
@@ -220,11 +224,6 @@ _BATCH_ROWS = 64
 # after little wasted work.
 _WINDOW_PER_THREAD = 2
 
-# Message indices whose surviving click pair decodes to another message, per
-# analyzer. `click_pair` ignores N, so the classes do not either; the test
-# suite and `selftest` check them against the live decode round trip.
-_MIS_DECODED: dict[AnalyzerKind, tuple[int, ...]] = {kind: () for kind in AnalyzerKind}
-
 
 def _survival_threshold(p):
     """ceil(p * 2**53) as uint64, with p (a float or an array) clipped to [0, 1].
@@ -238,23 +237,10 @@ def _survival_threshold(p):
     return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
 
-class _TallyPlan(NamedTuple):
-    """Per-row constants of the Monte-Carlo tally.
-
-    `threshold` is the uint64 survival threshold, a scalar when every message
-    sent shares it and else an array indexed by message. `wrong` lists the
-    sent message indices that mis-decode; `fixed` says one message is sent,
-    so word 0 does not pick it.
-    """
-
-    threshold: np.uint64 | np.ndarray
-    wrong: tuple[int, ...]
-    fixed: bool
-
-
 def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
-                 message: str | None) -> list[_TallyPlan]:
-    """The rows' plans, from one array evaluation per analyzer and survival law."""
+                 message: str | None) -> list[np.uint64 | np.ndarray]:
+    """Each row's uint64 survival threshold (an array indexed by message where the messages
+    sent differ in it), from one array evaluation per analyzer and survival law."""
     sent = range(len(MESSAGES)) if message is None else (MESSAGES.index(message),)
     bells = [encode(MESSAGES[index]) for index in sent]
     plans = {}  # per analyzer, its rows' plans in row order
@@ -266,33 +252,24 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
         laws = {key: _survival_threshold(survival_law(kind, bell, n)) for key, bell in laws.items()}
         limits = (laws.popitem()[1] if len(laws) == 1
                   else np.stack([laws[bell.family] for bell in bells], axis=1))
-        wrong = tuple(index for index in _MIS_DECODED[kind] if index in sent)
-        plans[kind] = iter([_TallyPlan(limit, wrong, message is not None) for limit in limits])
+        plans[kind] = iter(limits)
     return [next(plans[row[0]]) for row in batch]
 
 
 def _tally(master_seed: int, stream_tag: int, start: int, count: int,
-           plan: _TallyPlan) -> tuple[int, int]:
-    """A piece of a work unit: (survivors, decode errors) among shots [start, start + count)."""
+           threshold: np.uint64 | np.ndarray) -> int:
+    """A piece of a work unit: the survivors among shots [start, start + count)."""
     words = shot_uniforms(master_seed, start, count, stream_tag)
     # Word 1's top 53 bits decide survival and word 0's top two bits pick
     # the message; a fixed message still burns word 0.
-    threshold = plan.threshold if plan.threshold.ndim == 0 else plan.threshold[words[:, 0] >> 62]
-    survived = (words[:, 1] >> 11) < threshold
-    n_survived = int(np.count_nonzero(survived))
-    # The surviving pair is deterministic per message, so decode errors are
-    # the survivors among the message classes that mis-decode.
-    if not plan.wrong:
-        return n_survived, 0
-    if plan.fixed:
-        return n_survived, n_survived
-    return n_survived, int(np.count_nonzero(survived & np.isin(words[:, 0] >> 62, plan.wrong)))
+    if threshold.ndim:
+        threshold = threshold[words[:, 0] >> 62]
+    return int(np.count_nonzero((words[:, 1] >> 11) < threshold))
 
 
 def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
-              n_survived: int, n_errors: int) -> EfficiencyEstimate:
-    n_correct = n_survived - n_errors
-    p_hat = n_correct / shots
+              n_survived: int) -> EfficiencyEstimate:
+    p_hat = n_survived / shots
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
     ci = (max(2.0 * (p_hat - half_width), 0.0), min(2.0 * (p_hat + half_width), 2.0))
     return EfficiencyEstimate(
@@ -302,27 +279,28 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
         r_hat=2.0 * p_hat,
         ci95=ci,
         lost_fraction=1.0 - n_survived / shots,
-        decode_error_count=n_errors,
-        correct=n_correct,
+        decode_error_count=0,
+        correct=n_survived,
     )
 
 
 def _units(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, message: str | None):
-    """Work units of (row, plan, start, count) pieces, from rows planned a batch at a time:
-    a chunk of at most _CHUNK_SHOTS shots of a longer row, or as many whole rows as fit."""
+    """Work units of (row, threshold, start, count) pieces, from rows planned a batch at a
+    time: a chunk of at most _CHUNK_SHOTS shots of a longer row, or as many whole rows as fit."""
     rows = iter(rows)
     starts = range(0, shots, _CHUNK_SHOTS)
     while batch := [(AnalyzerKind(analyzer), n_cycles, stream_tag)
                     for analyzer, n_cycles, stream_tag in itertools.islice(rows, _BATCH_ROWS)]:
-        pieces = ((row, plan, start, min(_CHUNK_SHOTS, shots - start))
-                  for row, plan in zip(batch, _tally_plans(batch, message)) for start in starts)
+        thresholds = _tally_plans(batch, message)
+        pieces = ((row, threshold, start, min(_CHUNK_SHOTS, shots - start))
+                  for row, threshold in zip(batch, thresholds) for start in starts)
         while unit := list(itertools.islice(pieces, max(_CHUNK_SHOTS // shots, 1))):
             yield unit
 
 
-def _run_unit(master_seed: int, unit) -> list[tuple[int, int]]:
-    return [_tally(master_seed, stream_tag, start, count, plan)
-            for (_, _, stream_tag), plan, start, count in unit]
+def _run_unit(master_seed: int, unit) -> list[int]:
+    return [_tally(master_seed, stream_tag, start, count, threshold)
+            for (_, _, stream_tag), threshold, start, count in unit]
 
 
 def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
@@ -354,21 +332,20 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     pool = ThreadPoolExecutor(max_workers=threads) if len(head) > 1 else None
     window = _WINDOW_PER_THREAD * threads if pool else 0
     in_flight = collections.deque()  # (unit, its future or counts), oldest first
-    survived = errors = 0  # the finished pieces of the oldest unfinished row
+    survived = 0  # the survivors in the finished pieces of the oldest unfinished row
 
     def settle(limit):
         # Take the oldest units until at most `limit` are in flight, and
         # yield each row whose last piece that finishes.
-        nonlocal survived, errors
+        nonlocal survived
         while len(in_flight) > limit:
             unit, counts = in_flight.popleft()
-            for ((analyzer, n_cycles, _), _, start, count), (s, e) in zip(
+            for ((analyzer, n_cycles, _), _, start, count), s in zip(
                     unit, counts.result() if pool else counts):
                 survived += s
-                errors += e
                 if start + count == shots:
-                    yield _estimate(analyzer, n_cycles, shots, survived, errors)
-                    survived = errors = 0
+                    yield _estimate(analyzer, n_cycles, shots, survived)
+                    survived = 0
 
     try:
         for unit in itertools.chain(head, units):

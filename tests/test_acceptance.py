@@ -13,6 +13,7 @@ from zenodense.analyzers import (
     ALL_BELL_STATES,
     AnalyzerKind,
     analyze,
+    click_pair,
     qz_collapsed_state,
 )
 from zenodense.bell import COMPOSITE_LABELS
@@ -26,7 +27,7 @@ from zenodense.metrics import (
     resource_counts,
 )
 from zenodense.optics import CycleAngle, beam_splitter, rotator_pbs_arm_matrix
-from zenodense.protocol import run_protocol, simulate
+from zenodense.protocol import MESSAGES, decode, encode, run_protocol, simulate
 from zenodense.zeno import DISCARDED, dqz_cycle_channel, dqz_element_sim, post_gate_target, qz_gate
 
 DQZ, IFM, QZ = AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ
@@ -80,10 +81,14 @@ def test_05_analytic_vs_monte_carlo():
 
 
 def test_06_conditional_decode_correctness():
-    with criterion("6 zero decode errors over 1e6 mixed-message shots per analyzer"):
+    with criterion("6 decode round trip; zero decode errors over 1e6 shots per analyzer"):
         for kind in (DQZ, IFM, QZ):
             estimate = simulate(kind, 12, 10**6, master_seed=42)
             assert estimate.decode_error_count == 0
+        # Every surviving pair decodes to the message sent, for every analyzer and m.
+        for kind, message, m in itertools.product((DQZ, IFM, QZ), MESSAGES, (0, 1)):
+            bell = encode(message)
+            assert decode(click_pair(kind, bell, m), kind) == (bell, message)
         # Property check through the one-shot path as well.
         for kind in (DQZ, IFM, QZ):
             for i in range(500):

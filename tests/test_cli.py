@@ -216,10 +216,10 @@ class TestSweep:
     def test_monte_carlo_json_equals_a_json_dumps_reference(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--analyzer=all", "--n-min=1", "--n-max=6",
                                "--shots=3000", "--seed=11", "--format=json")
+        # Row (analyzer, N) draws from stream tag (analyzer's index) * 2**32 + N.
         expected = self.json_reference([
-            (kind, n, protocol.simulate(kind, n, 3000, 11,
-                                        stream_tag=cli._sweep_stream_tag(kind, n)))
-            for kind in AnalyzerKind for n in range(1, 7)])
+            (kind, n, protocol.simulate(kind, n, 3000, 11, stream_tag=(index << 32) + n))
+            for index, kind in enumerate(AnalyzerKind) for n in range(1, 7)])
         assert code == 0 and out == expected
 
     def test_writes_to_file(self, capsys, tmp_path):
@@ -560,16 +560,8 @@ class TestSelftest:
             "FAIL golden-decode-table: raised ValueError: invalid detector pair D2*D6 for dqz"]
         for name in ("operator-orthogonality", "channel-trace-preservation",
                      "bell-target-fidelity", "analytic-vs-mc", "golden-thresholds",
-                     "decode-roundtrip", "mis-decoding-classes"):
+                     "decode-roundtrip"):
             assert f"ok   {name}" in out
-
-    def test_mis_decoding_constant_is_checked(self, capsys, monkeypatch):
-        monkeypatch.setitem(protocol._MIS_DECODED, protocol.AnalyzerKind.QZ, (3,))
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == 1
-        # The Monte-Carlo then counts qz's Psi- survivors as errors, too.
-        assert "FAIL mis-decoding-classes: qz: constant (3,), live round trip ()" in out
-        assert "FAIL analytic-vs-mc: qz N=12" in out
 
     def test_fault_injection_names_the_broken_invariants(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--inject-fault=k-sign")

@@ -107,6 +107,22 @@ class TestDecode:
         bell, _ = decode(DetectorPair("D1", "D4"), AnalyzerKind.IFM)
         assert bell is BellState.PHI_MINUS
 
+    def test_a_pair_two_bell_states_share_fails_the_table(self, monkeypatch):
+        # Psi- clicking as Psi+ would mis-decode "11" as "01": the table, and
+        # so the package import, must refuse it.
+        real = protocol.click_pair
+
+        def shared(kind, bell, m=0):
+            return real(kind, BellState.PSI_PLUS if bell is BellState.PSI_MINUS else bell, m)
+
+        monkeypatch.setattr(protocol, "click_pair", shared)
+        for kind in ALL_KINDS:
+            with pytest.raises(AssertionError, match=f"{kind.value}: .* names Psi\\+ and Psi-"):
+                protocol._decode_table(kind)
+        monkeypatch.undo()
+        assert all(protocol._decode_table(kind) == protocol._DECODE_TABLES[kind]
+                   for kind in ALL_KINDS)
+
 
 class TestRunProtocol:
     def test_high_n_dqz_decodes_the_message(self):
@@ -360,30 +376,6 @@ class TestIntegerTally:
         assert (survived_count(estimate), estimate.correct) == float_reference(
             AnalyzerKind.IFM, 1, 70_000, 4)
 
-    def test_mis_decoding_class_counts_its_survivors(self, monkeypatch):
-        # A decode table that sends Psi- to "00" makes "11" a mis-decoding
-        # class; every surviving "11" shot must count as a decode error, and
-        # no other shot.
-        monkeypatch.setitem(protocol._MIS_DECODED, AnalyzerKind.DQZ, (MESSAGES.index("11"),))
-        shots = 70_000
-        bits = np.random.Philox(key=np.array([8, 0], dtype=np.uint64))
-        u = np.random.Generator(bits).random((shots, DRAWS_PER_SHOT))
-        p = survival_probability(AnalyzerKind.DQZ, BellState.PSI_MINUS, 12)
-        sent_11 = np.minimum((u[:, 0] * 4).astype(np.int64), 3) == 3
-        expected = int(np.count_nonzero(sent_11 & (u[:, 1] < p)))
-        uniform = simulate(AnalyzerKind.DQZ, 12, shots, 8, threads=2)
-        assert uniform.decode_error_count == expected > 0
-        assert uniform.correct == survived_count(uniform) - expected
-        fixed = simulate(AnalyzerKind.DQZ, 12, shots, 8, message="11")
-        assert fixed.decode_error_count == survived_count(fixed) > 0
-        assert fixed.correct == 0
-
-    def test_mis_decoding_classes_match_the_live_round_trip(self):
-        for kind in ALL_KINDS:
-            live = tuple(index for index, message in enumerate(MESSAGES)
-                         if decode(click_pair(kind, encode(message)), kind)[1] != message)
-            assert protocol._MIS_DECODED[kind] == live
-
     @pytest.mark.parametrize("message", [None, *MESSAGES])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_plan_thresholds_equal_per_message_scalar_thresholds(self, kind, message):
@@ -392,7 +384,7 @@ class TestIntegerTally:
         for n, plan in zip(ns, _tally_plans([(kind, n, 0) for n in ns], message), strict=True):
             expected = [_survival_threshold(survival_probability(kind, encode(msg), n))
                         for msg in sent]
-            assert np.broadcast_to(plan.threshold, len(sent)).tolist() == expected
+            assert np.broadcast_to(plan, len(sent)).tolist() == expected
 
     @pytest.mark.parametrize("message", [None, "10"])
     def test_one_array_evaluation_per_survival_law(self, monkeypatch, message):
@@ -526,8 +518,8 @@ class TestRunRows:
         for (kind, n, _), plan in zip(rows, plans, strict=True):
             expected = [_survival_threshold(survival_probability(kind, encode(msg), n))
                         for msg in sent]
-            assert np.broadcast_to(plan.threshold, len(sent)).tolist() == expected
-        ifm_at_18 = plans[len(self.THRESHOLD_NS)].threshold
+            assert np.broadcast_to(plan, len(sent)).tolist() == expected
+        ifm_at_18 = plans[len(self.THRESHOLD_NS)]
         assert int(np.broadcast_to(ifm_at_18, len(sent))[0]) == 7332208221475706
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -582,7 +574,7 @@ class TestRunRows:
         # With the tally stubbed out, what is left is the runner's own
         # bookkeeping: a session of many work units must peak no higher than
         # one of ten. Keeping one entry per unit took about 160 bytes each.
-        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
+        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, threshold: count)
 
         def session(n_units):
             shots = n_units * protocol._CHUNK_SHOTS
@@ -599,7 +591,7 @@ class TestRunRows:
         # and its plans stubbed out, many rows must peak no higher than ten.
         # Holding the rows as tuples took about 100 bytes each.
         (plan,) = _tally_plans([(AnalyzerKind.DQZ, 12, 0)], None)
-        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, plan: (count, 0))
+        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, threshold: count)
         monkeypatch.setattr(protocol, "_tally_plans", lambda batch, message: [plan] * len(batch))
 
         def sweep(count):
