@@ -222,6 +222,12 @@ class TestSweep:
             for index, kind in enumerate(AnalyzerKind) for n in range(1, 7)])
         assert code == 0 and out == expected
 
+    def test_stream_tag_offsets_keep_their_values(self):
+        # Every Monte-Carlo sweep byte depends on these offsets: dqz, ifm, qz
+        # draw from 0, 2**32 and 2**33 plus N.
+        assert cli._STREAM_TAG_BASE == {
+            AnalyzerKind.DQZ: 0, AnalyzerKind.IFM: 1 << 32, AnalyzerKind.QZ: 2 << 32}
+
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1", "--n-max=3",
@@ -546,7 +552,7 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert time.perf_counter() - start < 60.0
         assert code == 0
-        assert "all" in out and "passed" in out
+        assert "selftest: all 7 checks passed" in out
 
     def test_raising_check_reports_fail_and_the_rest_still_run(self, capsys, monkeypatch):
         def raising_check():

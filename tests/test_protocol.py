@@ -107,21 +107,20 @@ class TestDecode:
         bell, _ = decode(DetectorPair("D1", "D4"), AnalyzerKind.IFM)
         assert bell is BellState.PHI_MINUS
 
-    def test_a_pair_two_bell_states_share_fails_the_table(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_pair_two_bell_states_share_fails_the_table(self, monkeypatch, kind):
         # Psi- clicking as Psi+ would mis-decode "11" as "01": the table, and
         # so the package import, must refuse it.
         real = protocol.click_pair
 
-        def shared(kind, bell, m=0):
-            return real(kind, BellState.PSI_PLUS if bell is BellState.PSI_MINUS else bell, m)
+        def shared(analyzer, bell, m=0):
+            return real(analyzer, BellState.PSI_PLUS if bell is BellState.PSI_MINUS else bell, m)
 
         monkeypatch.setattr(protocol, "click_pair", shared)
-        for kind in ALL_KINDS:
-            with pytest.raises(AssertionError, match=f"{kind.value}: .* names Psi\\+ and Psi-"):
-                protocol._decode_table(kind)
+        with pytest.raises(AssertionError, match=f"{kind.value}: .* names Psi\\+ and Psi-"):
+            protocol._decode_table(kind)
         monkeypatch.undo()
-        assert all(protocol._decode_table(kind) == protocol._DECODE_TABLES[kind]
-                   for kind in ALL_KINDS)
+        assert protocol._decode_table(kind) == protocol._DECODE_TABLES[kind]
 
 
 class TestRunProtocol:
