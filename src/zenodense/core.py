@@ -18,8 +18,9 @@ Randomness is counter-based: shot i owns the i-th Philox block of four
 runner and `shot_uniforms` the raw words of many shots for the vectorized
 Monte-Carlo, which compares the top bits of words 0 and 1 against integer
 thresholds; both draw from one per-thread generator that walks on from the
-block it last drew. `shot_stream` reads a block as uniform doubles from a
-generator of the caller's own. Uniform j of a shot is
+block it last drew, and a thread walking its shots in order reads 64 blocks
+ahead. `shot_stream` reads a block as uniform doubles from a generator of
+the caller's own. Uniform j of a shot is
 (word j >> 11) * 2**-53, numpy's own Philox double, so the integer and the
 float comparison decide every shot identically.
 """
@@ -262,10 +263,6 @@ class OutcomeDistribution:
                 return label
         return self.outcomes[-1][0]
 
-    def sample(self, rng: np.random.Generator):
-        """`pick` with one uniform drawn from rng."""
-        return self.pick(float(rng.random()))
-
     def __iter__(self):
         return iter(self.outcomes)
 
@@ -293,6 +290,7 @@ def _key(master_seed: int, stream_tag: int) -> np.ndarray:
 
 _WORD = (1 << 64) - 1
 _walk = threading.local()  # per thread: its Philox and the (seed, tag, shot) it draws next
+_READ_AHEAD = 64  # blocks an in-order `shot_words` walk draws at once
 
 
 def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.random.Generator:
@@ -332,12 +330,19 @@ def _draw(master_seed: int, stream_tag: int, first_shot: int, n_shots: int) -> n
 
 def shot_words(master_seed: int, shot_index: int, stream_tag: int = 0) -> tuple[int, int]:
     """Words 0 and 1 of the shot's Philox block, as Python ints: row 0 of
-    shot_uniforms(master_seed, shot_index, 1, stream_tag), read without
-    re-keying by a thread that reads its shots in order (see `_draw`)."""
+    shot_uniforms(master_seed, shot_index, 1, stream_tag). A thread holds the
+    words of its last draw, a pure function of (seed, tag, first block); a call
+    for the block after them draws _READ_AHEAD blocks, any other call one."""
     if shot_index < 0:
         raise ValueError("shot_index must be non-negative")
-    w0, w1, _, _ = _draw(master_seed, stream_tag, shot_index, 1).tolist()
-    return w0, w1
+    seed, tag, first, words = getattr(_walk, "held", (None, None, 0, ()))
+    i = (shot_index - first) * DRAWS_PER_SHOT
+    if seed != master_seed or tag != stream_tag or not 0 <= i < len(words):
+        n = _READ_AHEAD if (seed, tag, i) == (master_seed, stream_tag, len(words)) else 1
+        words = _draw(master_seed, stream_tag, shot_index, n).tolist()
+        _walk.held = (master_seed, stream_tag, shot_index, words)
+        i = 0
+    return words[i], words[i + 1]
 
 
 def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,

@@ -8,16 +8,17 @@ at import), so the estimator is r_hat = 2 * survivors / shots, no decode errors.
 
 Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
 burned even when the message is fixed) and u1 (outcome draw) from its own
-counter-based stream. `run_protocol` (one shot at a time, with no per-shot
-set-up once a thread walks a seed's shots in order) compares u1 as a float;
-`run_rows` (many rows of a sweep at once, packed into work units of up to
-2**16 shots) and `simulate` (its one-row case) compare the raw Philox words
-they are made from against integer thresholds: the same decision per shot.
+counter-based stream. `run_protocol` (one shot at a time, its words read
+ahead on in-order walks, its fate from one cached plan) compares u1 as a
+float; `run_rows` (many rows of a sweep at once, packed into work units of
+up to 2**16 shots) and `simulate` (its one-row case) compare the raw Philox
+words they are made from against integer thresholds: the same decision per shot.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -30,7 +31,6 @@ import numpy as np
 from .analyzers import (
     ANALYZERS,
     AnalyzerKind,
-    AnalyzerOutcome,
     BellState,
     DetectorPair,
     analyze,
@@ -162,29 +162,35 @@ class EfficiencyEstimate:
             raise ValueError("ci95 must bracket r_hat")
 
 
+@functools.lru_cache(maxsize=1024)
+def _shot_plan(analyzer: AnalyzerKind, message: str, n_cycles: int, m: int):
+    """(p, clicks, Bell estimate, decoded message) of a shot: `analyze` lists survival
+    first, with probability p, so its `pick(u)` keeps the photon exactly when u < p."""
+    (detected, p), _ = analyze(analyzer, encode(message), n_cycles, m)
+    return p, detected.clicks, *decode(detected.clicks, analyzer)
+
+
 def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
                  master_seed: int, shot_index: int = 0, m: int = 0) -> RunOutcome:
-    """One shot: encode, analyze, sample the outcome, decode.
+    """One shot: encode, analyze, decide survival, decode.
 
     Pass message="uniform" to draw the message from the top two bits of the
-    shot's word 0. Word 1 draws the outcome either way, so fixed-message and
-    uniform-message runs stay stream-aligned with `simulate`. Shots run in
-    order re-key nothing and, after the first, analyze nothing anew.
+    shot's word 0. Word 1 decides survival either way, so fixed-message and
+    uniform-message runs stay stream-aligned with `simulate`. The first shot
+    of an (analyzer, message, N, m) builds its plan from `analyze` and
+    `decode`; later shots look it up, and shots run in order re-key nothing.
     """
     analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
     w_message, w_outcome = shot_words(master_seed, shot_index)
     if message == "uniform":
         message = MESSAGES[w_message >> 62]
-    bell = encode(message)
+    p, clicks, bell_estimate, decoded = _shot_plan(analyzer, message, n_cycles, m)
     # numpy's Philox double of word 1, the uniform `simulate` compares as an integer.
-    u_outcome = (w_outcome >> 11) * 2.0**-53
-    outcome: AnalyzerOutcome = analyze(analyzer, bell, n_cycles, m).pick(u_outcome)
-    if outcome.photon_lost:
-        return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
-                          master_seed, shot_index)
-    bell_estimate, decoded = decode(outcome.clicks, analyzer)
-    return RunOutcome(message, decoded, bell_estimate, outcome.clicks, False,
-                      analyzer, n_cycles, master_seed, shot_index)
+    if (w_outcome >> 11) * 2.0**-53 < p:
+        return RunOutcome(message, decoded, bell_estimate, clicks, False,
+                          analyzer, n_cycles, master_seed, shot_index)
+    return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
+                      master_seed, shot_index)
 
 
 def _resolve_threads(threads: int | None) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from zenodense import core
 from zenodense.core import (
     DRAWS_PER_SHOT,
     DensityMatrix,
@@ -40,6 +41,20 @@ def block_words(seed, shot, tag):
     """Words 0 and 1 of the shot's block, from a fresh generator."""
     w0, w1 = fresh_blocks(seed, shot, tag)[0, :2].tolist()
     return w0, w1
+
+
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """The block count of each `core._draw` call the test makes from here on."""
+    sizes = []
+    real = core._draw
+    monkeypatch.setattr(core, "_draw", lambda *args: sizes.append(args[3]) or real(*args))
+    return sizes
+
+
+def sample(dist, rng):
+    """`dist.pick` with one uniform drawn from rng."""
+    return dist.pick(float(rng.random()))
 
 
 def state(labels, amps, **kw):
@@ -218,7 +233,7 @@ class TestSample:
     def test_degenerate_distribution(self):
         dist = OutcomeDistribution([("A", 1.0)])
         for seed in (0, 1, 12345):
-            assert dist.sample(shot_stream(seed, 0)) == "A"
+            assert sample(dist, shot_stream(seed, 0)) == "A"
 
     def test_fair_coin_frequency_within_three_sigma(self):
         # 3 sigma for 1e6 fair draws: 3 * sqrt(0.25 / 1e6) = 1.5e-3.
@@ -228,8 +243,8 @@ class TestSample:
 
     def test_same_seed_and_shot_identical(self):
         dist = OutcomeDistribution([("A", 0.3), ("B", 0.3), ("C", 0.4)])
-        a = [dist.sample(shot_stream(7, i)) for i in range(50)]
-        b = [dist.sample(shot_stream(7, i)) for i in range(50)]
+        a = [sample(dist, shot_stream(7, i)) for i in range(50)]
+        b = [sample(dist, shot_stream(7, i)) for i in range(50)]
         assert a == b
 
     def test_matches_inverse_cdf_over_listed_order(self):
@@ -237,7 +252,7 @@ class TestSample:
         for i in range(200):
             u = float(shot_stream(3, i).random())
             expected = "A" if u < 0.3 else ("B" if u < 0.6 else "C")
-            assert dist.sample(shot_stream(3, i)) == expected
+            assert sample(dist, shot_stream(3, i)) == expected
 
 
 class TestShotStreams:
@@ -364,6 +379,9 @@ class TestShotStreams:
     # A block read leaves the walk at the shot after it, and reading none moves nothing.
     @example(runs=[(2, 3, 9, 1, 1, None), (2, 3, 10, 1, 1, 3), (2, 3, 13, 1, 1, 0),
                    (2, 3, 13, 2, 1, None)])
+    # Long enough walks to cross the edges of the blocks read ahead.
+    @example(runs=[(0, 1, 0, 140, 1, None), (0, 1, 100, 3, -1, None)])
+    @example(runs=[(1, 1, 2**256 - 70, 140, 1, None)])
     def test_any_call_sequence_reads_each_shots_own_block(self, runs):
         for call in self.calls_of(runs):
             assert self.read(*call) == self.expected(*call)
@@ -394,6 +412,55 @@ class TestShotStreams:
             assert not thread.is_alive()
         for me in (0, 1):
             assert read[me] == [self.expected(*call) for call in sequences[me]]
+
+    def test_in_order_walk_across_read_ahead_edges(self):
+        shot_words(9, 0, 3)  # a first read from elsewhere: the walk starts on a jump
+        expected = fresh_blocks(5, 0, 3, 200)[:, :2].tolist()
+        assert [list(shot_words(5, shot, 3)) for shot in range(200)] == expected
+
+    def test_jump_back_into_the_held_blocks(self, draw_sizes):
+        shot_words(9, 0, 3)
+        for shot in range(100):
+            shot_words(5, shot, 3)
+        assert draw_sizes == [1, 1, 64, 64]  # shots 0, 1..64 and 65..128: the last 64 are held
+        draw_sizes.clear()
+        for shot in (70, 65, 128, 99, 66):
+            assert shot_words(5, shot, 3) == block_words(5, shot, 3)
+        assert draw_sizes == []
+        assert shot_words(5, 64, 3) == block_words(5, 64, 3)
+        assert draw_sizes == [1]
+
+    def test_walk_across_the_counter_wrap(self):
+        start = 2**256 - 100
+        expected = fresh_blocks(7, start, 1, 200)[:, :2].tolist()
+        assert [list(shot_words(7, start + k, 1)) for k in range(200)] == expected
+        assert shot_words(7, 50, 1) == block_words(7, 50, 1)  # the same block as 2**256 + 50
+
+    def test_walk_interleaved_with_block_reads_of_the_same_stream(self):
+        # Block reads move the thread's Philox; the held words must stay right.
+        for shot in range(200):
+            assert shot_words(8, shot, 2) == block_words(8, shot, 2)
+            if shot % 7 == 0:
+                start = (shot * 37) % 300
+                assert np.array_equal(shot_uniforms(8, start, 5, 2), fresh_blocks(8, start, 2, 5))
+            if shot % 11 == 0:  # and one that leaves the Philox right after the held blocks
+                assert np.array_equal(shot_uniforms(8, shot + 1, 3, 2),
+                                      fresh_blocks(8, shot + 1, 2, 3))
+
+    def test_reads_out_of_order_draw_one_block_each(self, draw_sizes):
+        for shot in (*range(40, 0, -1), *range(100, 200, 2), 2**64, 5):
+            assert shot_words(6, shot, 4) == block_words(6, shot, 4)
+        assert draw_sizes == [1] * (40 + 50 + 2)
+        # In order, the walk reads ahead: one block, then 64 at a time.
+        draw_sizes.clear()
+        for shot in range(1000, 1200):
+            shot_words(6, shot, 4)
+        assert draw_sizes == [1, 64, 64, 64, 64]
+        # The shot after the held blocks, of another stream, is a jump too.
+        draw_sizes.clear()
+        assert shot_words(7, 1257, 4) == block_words(7, 1257, 4)
+        assert shot_words(7, 1258, 5) == block_words(7, 1258, 5)
+        assert draw_sizes == [1, 1]
 
     def test_each_thread_reads_its_own_words(self):
         # Four threads read in lockstep, switching often; each must still

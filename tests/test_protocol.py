@@ -19,6 +19,7 @@ from zenodense.analyzers import (
     AnalyzerKind,
     BellState,
     DetectorPair,
+    analyze,
     click_pair,
     survival_probability,
 )
@@ -26,6 +27,7 @@ from zenodense.core import DRAWS_PER_SHOT
 from zenodense.metrics import r_analytic
 from zenodense.protocol import (
     MESSAGES,
+    RunOutcome,
     _resolve_threads,
     _survival_threshold,
     _tally_plans,
@@ -162,6 +164,42 @@ class TestRunProtocol:
         a = run_protocol("uniform", AnalyzerKind.IFM, 5, master_seed=1, shot_index=42)
         b = run_protocol("uniform", AnalyzerKind.IFM, 5, master_seed=1, shot_index=42)
         assert a == b
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_the_reference_route_shot_for_shot(self, kind, order):
+        # Pick from `analyze` and `decode` each shot, with words from a fresh
+        # Philox: 200 shots cross several edges of the blocks read ahead.
+        seed = 2027
+        bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        words = bits.random_raw(200 * DRAWS_PER_SHOT).reshape(200, DRAWS_PER_SHOT).tolist()
+        shots = range(200) if order == "forward" else range(199, -1, -1)
+        for n in (1, 2, 12, 10**5):
+            for message in ("uniform", *MESSAGES):
+                for m in (0, 1):
+                    for i in shots:
+                        w0, w1 = words[i][:2]
+                        sent = MESSAGES[w0 >> 62] if message == "uniform" else message
+                        outcome = analyze(kind, encode(sent), n, m).pick((w1 >> 11) * 2**-53)
+                        if outcome.photon_lost:
+                            expected = RunOutcome(sent, None, None, None, True, kind, n, seed, i)
+                        else:
+                            bell, decoded = decode(outcome.clicks, kind)
+                            expected = RunOutcome(sent, decoded, bell, outcome.clicks, False,
+                                                  kind, n, seed, i)
+                        assert run_protocol(message, kind, n, master_seed=seed, shot_index=i,
+                                            m=m) == expected
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_survival_edge_is_the_integer_threshold(self, kind, monkeypatch):
+        # Word 1 just below and at ceil(p * 2**53): the float decision u1 < p
+        # flips exactly where the integer tally's does.
+        for n in (1, 2, 3, 5, 12, 64):
+            threshold = int(_survival_threshold(survival_probability(kind, encode("10"), n)))
+            for k in {threshold - 1, min(threshold, 2**53 - 1)}:  # k is 53 bits
+                monkeypatch.setattr(protocol, "shot_words", lambda *args, k=k: (0, k << 11))
+                out = run_protocol("10", kind, n, master_seed=1, shot_index=0)
+                assert out.photon_lost == (k >= threshold)
 
     # sha256 over every RunOutcome field of the grid below, recorded before
     # the runner read its words from a continuing per-thread stream.
