@@ -13,6 +13,10 @@ ahead on in-order walks, its fate from one cached plan) compares u1 as a
 float; `run_rows` (many rows of a sweep at once, packed into work units of
 up to 2**16 shots) and `simulate` (its one-row case) compare the raw Philox
 words they are made from against integer thresholds: the same decision per shot.
+
+Both result records, `RunOutcome` and `EfficiencyEstimate`, are immutable named
+tuples whose every constructor (`_make` and `_replace` too) checks their fields:
+each equals a plain tuple of the same values, and iterates and unpacks as one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,10 +127,7 @@ def decode(clicks: DetectorPair, analyzer: AnalyzerKind = AnalyzerKind.DQZ) -> t
     return bell, _BELL_TO_MESSAGE[bell]
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """One protocol shot: what was sent, what clicked, what was decoded."""
-
+class _RunFields(NamedTuple):
     message_sent: str
     decoded: str | None
     bell_estimate: BellState | None
@@ -137,15 +138,23 @@ class RunOutcome:
     master_seed: int
     shot_index: int
 
-    def __post_init__(self):
-        if (self.decoded is None) != (self.clicks is None):
+
+class RunOutcome(_RunFields):
+    """One protocol shot: what was sent, what clicked, what was decoded."""
+    __slots__ = ()
+
+    def __new__(cls, message_sent, decoded, bell_estimate, clicks, photon_lost, analyzer,
+                n_cycles, master_seed, shot_index):
+        if (decoded is None) != (clicks is None):
             raise ValueError("decoded message present exactly when clicks are present")
+        return tuple.__new__(cls, (message_sent, decoded, bell_estimate, clicks, photon_lost,
+                                   analyzer, n_cycles, master_seed, shot_index))
+
+    # The stock _make, which _replace calls, builds the tuple without __new__'s check.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class EfficiencyEstimate:
-    """Monte-Carlo throughput estimate in bits per transmitted qubit."""
-
+class _EstimateFields(NamedTuple):
     analyzer: AnalyzerKind
     n_cycles: int
     shots: int
@@ -155,11 +164,21 @@ class EfficiencyEstimate:
     decode_error_count: int  # always 0: `_decode_table` checks at import that none can occur
     correct: int  # the survivors
 
-    def __post_init__(self):
-        if not 0.0 <= self.r_hat <= 2.0:
+
+class EfficiencyEstimate(_EstimateFields):
+    """Monte-Carlo throughput estimate in bits per transmitted qubit."""
+    __slots__ = ()
+
+    def __new__(cls, analyzer, n_cycles, shots, r_hat, ci95, lost_fraction,
+                decode_error_count, correct):
+        if not 0.0 <= r_hat <= 2.0:
             raise ValueError("r_hat must lie in [0, 2]")
-        if not self.ci95[0] <= self.r_hat <= self.ci95[1]:
+        if not ci95[0] <= r_hat <= ci95[1]:
             raise ValueError("ci95 must bracket r_hat")
+        return tuple.__new__(cls, (analyzer, n_cycles, shots, r_hat, ci95, lost_fraction,
+                                   decode_error_count, correct))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -278,16 +297,8 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
     p_hat = n_survived / shots
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
     ci = (max(2.0 * (p_hat - half_width), 0.0), min(2.0 * (p_hat + half_width), 2.0))
-    return EfficiencyEstimate(
-        analyzer=analyzer,
-        n_cycles=n_cycles,
-        shots=shots,
-        r_hat=2.0 * p_hat,
-        ci95=ci,
-        lost_fraction=1.0 - n_survived / shots,
-        decode_error_count=0,
-        correct=n_survived,
-    )
+    return EfficiencyEstimate(analyzer, n_cycles, shots, 2.0 * p_hat, ci,
+                              1.0 - n_survived / shots, 0, n_survived)
 
 
 def _units(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, message: str | None):

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import os
+import pickle
 import threading
 import tracemalloc
 from unittest import mock
@@ -27,6 +28,7 @@ from zenodense.core import DRAWS_PER_SHOT
 from zenodense.metrics import r_analytic
 from zenodense.protocol import (
     MESSAGES,
+    EfficiencyEstimate,
     RunOutcome,
     _resolve_threads,
     _survival_threshold,
@@ -637,3 +639,87 @@ class TestRunRows:
 
         peak = self.peak_bytes(lambda: sweep(n_rows))
         assert peak < self.peak_bytes(lambda: sweep(10)) + 64 * 1024
+
+
+class TestResultRecords:
+    """Both records are named tuples: every way to build one checks its fields."""
+
+    SURVIVED = RunOutcome("01", "01", BellState.PSI_PLUS,
+                          click_pair(AnalyzerKind.DQZ, BellState.PSI_PLUS, 0), False,
+                          AnalyzerKind.DQZ, 12, 7, 3)
+    LOST = RunOutcome("10", None, None, None, True, AnalyzerKind.IFM, 2, 7, 4)
+    ESTIMATE = EfficiencyEstimate(AnalyzerKind.QZ, 5, 100, 1.0, (0.9, 1.1), 0.5, 0, 50)
+    RECORDS = [SURVIVED, LOST, ESTIMATE]
+
+    # A valid record and the fields that make it invalid; each breaks one check alone.
+    BAD = [
+        pytest.param(SURVIVED, {"clicks": None}, id="decoded-without-clicks"),
+        pytest.param(LOST, {"clicks": SURVIVED.clicks}, id="clicks-without-decoded"),
+        pytest.param(ESTIMATE, {"r_hat": 2.0 + 2**-51, "ci95": (1.9, 2.1)}, id="r_hat-above-2"),
+        pytest.param(ESTIMATE, {"r_hat": -2**-52, "ci95": (-0.1, 0.1)}, id="r_hat-below-0"),
+        pytest.param(ESTIMATE, {"ci95": (1.0 + 2**-52, 1.1)}, id="ci95-above-r_hat"),
+        pytest.param(ESTIMATE, {"ci95": (0.9, 1.0 - 2**-53)}, id="ci95-below-r_hat"),
+    ]
+
+    @staticmethod
+    def values(record, bad):
+        return {**record._asdict(), **bad}
+
+    @pytest.mark.parametrize("record, bad", BAD)
+    def test_constructor_rejects(self, record, bad):
+        with pytest.raises(ValueError):
+            type(record)(**self.values(record, bad))
+        with pytest.raises(ValueError):
+            type(record)(*self.values(record, bad).values())
+
+    @pytest.mark.parametrize("record, bad", BAD)
+    def test_replace_and_make_reject(self, record, bad):
+        # The stock _make, which _replace calls, would skip the constructor's checks.
+        with pytest.raises(ValueError):
+            record._replace(**bad)
+        with pytest.raises(ValueError):
+            type(record)._make(self.values(record, bad).values())
+
+    @pytest.mark.parametrize("record, bad", BAD)
+    def test_unpickling_rejects(self, record, bad):
+        forged = tuple.__new__(type(record), self.values(record, bad).values())
+        blob = pickle.dumps(forged)
+        with pytest.raises(ValueError):
+            pickle.loads(blob)
+
+    def test_r_hat_may_reach_both_ends(self):
+        for r_hat in (0.0, 2.0):
+            estimate = self.ESTIMATE._replace(r_hat=r_hat, ci95=(r_hat, r_hat))
+            assert estimate.r_hat == r_hat
+
+    @pytest.mark.parametrize("record", RECORDS, ids=["survived", "lost", "estimate"])
+    def test_every_route_rebuilds_an_equal_record(self, record):
+        rebuilt = [type(record)(**record._asdict()), record._replace(), type(record)._make(record),
+                   pickle.loads(pickle.dumps(record))]
+        for copy in rebuilt:
+            assert copy == record
+            assert type(copy) is type(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=["survived", "lost", "estimate"])
+    def test_fields_are_read_only(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.note = "no instance dict"
+
+    def test_a_record_is_a_tuple_of_its_fields(self):
+        # It equals the plain tuple of its values and unpacks in field order.
+        assert self.ESTIMATE == tuple(self.ESTIMATE)
+        analyzer, n_cycles, shots, *_, correct = self.ESTIMATE
+        assert (analyzer, n_cycles, shots, correct) == (AnalyzerKind.QZ, 5, 100, 50)
+        assert self.SURVIVED == tuple(self.SURVIVED)
+
+    def test_runners_return_exactly_these_types(self):
+        outcomes = [run_protocol("uniform", AnalyzerKind.DQZ, 2, master_seed=1, shot_index=i)
+                    for i in range(40)]
+        assert {o.photon_lost for o in outcomes} == {False, True}
+        assert {type(o) for o in outcomes} == {RunOutcome}
+        assert type(simulate(AnalyzerKind.IFM, 3, 100, 1)) is EfficiencyEstimate
+        rows = [(AnalyzerKind.QZ, 4, 0), (AnalyzerKind.DQZ, 2, 1)]
+        assert [type(e) for e in run_rows(rows, 100, 1)] == [EfficiencyEstimate] * 2
