@@ -128,6 +128,20 @@ def _sweep_blocks(analyzers: list[AnalyzerKind], n_min: int, n_max: int,
             yield kind, (n,), (metrics.r_analytic(kind, n),), (estimate,)
 
 
+def _analytic_csv_block(name: str, ns: range, r_values: list[float]) -> str:
+    """The CSV rows of an analytic block, f"{n},{name},{r:.9g},,,,\\n" each.
+
+    One % fill of the row template repeated per row, from the block's N and
+    R values interleaved: %d and %.9g are the f-string's formatters, and
+    analyzer names hold no %. A function of its own, so that the block's
+    fields are freed before the next block's closed form is evaluated.
+    """
+    fields = [None] * (2 * len(r_values))
+    fields[::2] = ns
+    fields[1::2] = r_values
+    return f"%d,{name},%.9g,,,,\n" * len(r_values) % tuple(fields)
+
+
 def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int | None,
               seed: int, fmt: str, out: str | None) -> int:
     _warn_degenerate(analyzers, n_min)
@@ -138,18 +152,24 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
         # JSON record (five times a CSV line) in one write each. The bytes
         # equal one csv.writer pass (no field needs quoting) or
         # json.dump(records, indent=2) over all rows.
+        #
+        # An analytic CSV block is one % fill (_analytic_csv_block). The other
+        # rows keep their f-strings: a Monte-Carlo row is a block of its own
+        # and its simulation dominates, and a JSON record's repr dominates,
+        # while a block-sized JSON string would break the memory bound.
         if fmt == "csv":
             stream.write(",".join(CSV_HEADER) + "\n")
         separator = "[\n"
         for kind, ns, r_values, estimates in blocks:
-            name, rows = kind.value, zip(ns, r_values, estimates)
-            if fmt == "csv":
-                stream.write("".join([
-                    f"{n},{name},{r:.9g},,,,\n" if e is None else
-                    f"{n},{name},{r:.9g},{e.r_hat:.9g},{shots},{e.ci95[0]:.9g},{e.ci95[1]:.9g}\n"
-                    for n, r, e in rows]))
+            name = kind.value
+            if fmt == "csv" and not shots:
+                stream.write(_analytic_csv_block(name, ns, r_values))
                 continue
-            for n, r, e in rows:
+            for n, r, e in zip(ns, r_values, estimates):
+                if fmt == "csv":
+                    stream.write(f"{n},{name},{r:.9g},{e.r_hat:.9g},{shots},"
+                                 f"{e.ci95[0]:.9g},{e.ci95[1]:.9g}\n")
+                    continue
                 # One item of json.dumps(records, indent=2): every float is
                 # finite and prints as its repr, and no string needs escaping.
                 r_mc, mc_shots, low, high = ("null",) * 4 if e is None else (

@@ -66,7 +66,7 @@ class EfficiencyCurve:
             raise ValueError("n_values and r_values must be matching 1-d arrays")
         if np.any(np.diff(n) <= 0):
             raise ValueError("cycle counts must be strictly increasing")
-        if np.any((r < 0.0) | (r > 2.0)):
+        if not np.all((r >= 0.0) & (r <= 2.0)):
             raise ValueError("throughput values must lie in [0, 2]")
         n.setflags(write=False)
         r.setflags(write=False)

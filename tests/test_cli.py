@@ -138,6 +138,41 @@ class TestSweep:
         assert run_cli(capsys, *argv, f"--out={target}")[0] == 0
         assert target.read_bytes() == reference.getvalue().encode()
 
+    @pytest.mark.parametrize("analyzer, n_min, n_max", [
+        ("qz", 4000, 8300),                     # one analyzer, starting mid-block
+        ("all", 1, 2 * cli._SWEEP_BLOCK),       # ending exactly on a block edge
+        ("all", 4097, 4097),                    # one row
+        ("all", 999_990, metrics.MAX_CURVE_CYCLES),  # the top of the accepted range
+    ])
+    def test_analytic_block_edges_equal_a_csv_writer_reference(self, capsys, analyzer,
+                                                               n_min, n_max):
+        kinds = list(AnalyzerKind) if analyzer == "all" else [AnalyzerKind(analyzer)]
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for kind in kinds:
+            for n in range(n_min, n_max + 1):
+                writer.writerow([n, kind.value, f"{metrics.r_analytic(kind, n):.9g}",
+                                 "", "", "", ""])
+        code, out, _ = run_cli(capsys, "sweep", f"--analyzer={analyzer}", f"--n-min={n_min}",
+                               f"--n-max={n_max}")
+        assert code == 0 and out == reference.getvalue()
+
+    @pytest.mark.parametrize("n_min, n_max", [
+        (1, 2 * cli._SWEEP_BLOCK), (4000, 4000 + 2 * cli._SWEEP_BLOCK), (7, 7)])
+    def test_analytic_csv_is_written_a_block_at_a_time(self, capsys, monkeypatch, tmp_path,
+                                                       n_min, n_max):
+        writes = []
+        check_output_writes(monkeypatch, writes.append)
+        code, _, _ = run_cli(capsys, "sweep", "--analyzer=all", f"--n-min={n_min}",
+                             f"--n-max={n_max}", f"--out={tmp_path / 'curve.csv'}")
+        rows = n_max - n_min + 1
+        full, rest = divmod(rows, cli._SWEEP_BLOCK)
+        assert code == 0 and writes[0] == CSV_HEADER + "\n"
+        assert len(writes) == 1 + 3 * -(-rows // cli._SWEEP_BLOCK)
+        assert [text.count("\n") for text in writes[1:]] == (
+            [cli._SWEEP_BLOCK] * full + [rest] * (rest > 0)) * 3
+
     @pytest.mark.parametrize("fmt, marker", [("csv", "{n},dqz,"), ("json", '"n": {n},')])
     def test_failed_write_in_a_later_block_leaves_the_target_as_it_was(self, capsys, monkeypatch,
                                                                        tmp_path, fmt, marker):

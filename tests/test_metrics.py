@@ -10,6 +10,7 @@ from zenodense.cli import main
 from zenodense.metrics import (
     EXPERIMENTAL_BENCHMARK_R,
     MAX_CURVE_CYCLES,
+    EfficiencyCurve,
     efficiency_curve,
     min_n_for_target,
     p_survival,
@@ -157,6 +158,16 @@ class TestEfficiencyCurve:
             efficiency_curve(DQZ, 6, 5)
         with pytest.raises(ValueError):
             efficiency_curve(DQZ, 1, 10**6 + 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(2.0, 3.0), -0.5])
+    def test_rejects_throughput_outside_zero_to_two(self, bad):
+        # NaN compares false both ways, so only a containment test catches it.
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            EfficiencyCurve(DQZ, np.array([1, 2]), np.array([bad, 1.0]))
+
+    def test_accepts_both_ends_of_zero_to_two(self):
+        curve = EfficiencyCurve(DQZ, np.array([1, 2]), np.array([0.0, 2.0]))
+        assert curve.points == [(1, 0.0), (2, 2.0)]
 
 
 class TestResourceCounts:
