@@ -158,11 +158,12 @@ class Operator:
         return f"Operator(dim={self.dim}, labels={self.labels})"
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """max-norm of O^dag O - I."""
+def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
+    """max-norm of O^dag O - I: a float for one matrix, an array for a stack of them."""
     mat = np.asarray(matrix, dtype=complex)
-    eye = np.eye(mat.shape[0])
-    return float(np.max(np.abs(mat.conj().T @ mat - eye)))
+    eye = np.eye(mat.shape[-1])
+    defect = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - eye), axis=(-2, -1))
+    return float(defect) if mat.ndim == 2 else defect
 
 
 ELECTRON_LABELS = ("block", "pass")
@@ -355,8 +356,8 @@ def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
     shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT) bit for
     bit. For p in [0, 1], u < p holds exactly when
     (w >> 11) < ceil(p * 2**53), and min(int(4 * u), 3) equals w >> 62: the
-    vectorized Monte-Carlo decides on integers what the per-shot runner
-    decides on floats, shot for shot.
+    vectorized Monte-Carlo and the per-shot runner decide on these integers
+    what numpy's uniforms would decide as floats, shot for shot.
     """
     if start_shot < 0 or n_shots < 0:
         raise ValueError("start_shot and n_shots must be non-negative")

@@ -6,13 +6,14 @@ decodes the click pair. A lost photon delivers zero bits and no
 retransmission is attempted. A surviving pair names the Bell state sent (checked
 at import), so the estimator is r_hat = 2 * survivors / shots, no decode errors.
 
-Monte-Carlo determinism: shot i consumes uniforms u0 (message selection,
-burned even when the message is fixed) and u1 (outcome draw) from its own
-counter-based stream. `run_protocol` (one shot at a time, its words read
-ahead on in-order walks, its fate from one cached plan) compares u1 as a
-float; `run_rows` (many rows of a sweep at once, packed into work units of
-up to 2**16 shots) and `simulate` (its one-row case) compare the raw Philox
-words they are made from against integer thresholds: the same decision per shot.
+Monte-Carlo determinism: shot i consumes words w0 (message selection,
+burned even when the message is fixed) and w1 (outcome draw) of its own
+counter-based stream, and keeps its photon when w1's top 53 bits fall below
+the integer threshold ceil(p * 2**53). `run_protocol` decides one shot at a
+time (its words read ahead on in-order walks, its fate from one cached
+plan); `run_rows` (many rows of a sweep at once, packed into work units of
+up to 2**16 shots, consecutive rows on one stream drawing its words once)
+and `simulate` (its one-row case) decide whole arrays of shots.
 
 Both result records, `RunOutcome` and `EfficiencyEstimate`, are immutable named
 tuples whose every constructor (`_make` and `_replace` too) checks their fields:
@@ -183,10 +184,11 @@ class EfficiencyEstimate(_EstimateFields):
 
 @functools.lru_cache(maxsize=1024)
 def _shot_plan(analyzer: AnalyzerKind, message: str, n_cycles: int, m: int):
-    """(p, clicks, Bell estimate, decoded message) of a shot: `analyze` lists survival
-    first, with probability p, so its `pick(u)` keeps the photon exactly when u < p."""
+    """(threshold, clicks, Bell estimate, decoded message) of a shot: `analyze` lists
+    survival first, with probability p, so its `pick(u)` keeps the photon exactly when
+    u < p, that is when u's 53 bits fall below `_survival_threshold(p)`."""
     (detected, p), _ = analyze(analyzer, encode(message), n_cycles, m)
-    return p, detected.clicks, *decode(detected.clicks, analyzer)
+    return int(_survival_threshold(p)), detected.clicks, *decode(detected.clicks, analyzer)
 
 
 def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
@@ -195,17 +197,18 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
 
     Pass message="uniform" to draw the message from the top two bits of the
     shot's word 0. Word 1 decides survival either way, so fixed-message and
-    uniform-message runs stay stream-aligned with `simulate`. The first shot
-    of an (analyzer, message, N, m) builds its plan from `analyze` and
-    `decode`; later shots look it up, and shots run in order re-key nothing.
+    uniform-message runs stay stream-aligned with `simulate`. The photon
+    survives when word 1's top 53 bits fall below the survival threshold,
+    the integer rule `run_rows` applies to whole arrays. The first shot of an
+    (analyzer, message, N, m) builds its plan from `analyze` and `decode`;
+    later shots look it up, and shots run in order re-key nothing.
     """
     analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
     w_message, w_outcome = shot_words(master_seed, shot_index)
     if message == "uniform":
         message = MESSAGES[w_message >> 62]
-    p, clicks, bell_estimate, decoded = _shot_plan(analyzer, message, n_cycles, m)
-    # numpy's Philox double of word 1, the uniform `simulate` compares as an integer.
-    if (w_outcome >> 11) * 2.0**-53 < p:
+    threshold, clicks, bell_estimate, decoded = _shot_plan(analyzer, message, n_cycles, m)
+    if (w_outcome >> 11) < threshold:
         return RunOutcome(message, decoded, bell_estimate, clicks, False,
                           analyzer, n_cycles, master_seed, shot_index)
     return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
@@ -282,14 +285,26 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
 
 
 def _tally(master_seed: int, stream_tag: int, start: int, count: int,
-           threshold: np.uint64 | np.ndarray) -> int:
-    """A piece of a work unit: the survivors among shots [start, start + count)."""
+           thresholds: list[np.uint64 | np.ndarray]) -> list[int]:
+    """A piece of a work unit: the survivors among shots [start, start + count) of one
+    stream, for each threshold (one per row on that stream), from one draw of its words."""
     words = shot_uniforms(master_seed, start, count, stream_tag)
     # Word 1's top 53 bits decide survival and word 0's top two bits pick
-    # the message; a fixed message still burns word 0.
-    if threshold.ndim:
-        threshold = threshold[words[:, 0] >> 62]
-    return int(np.count_nonzero((words[:, 1] >> 11) < threshold))
+    # the message; a fixed message still burns word 0. Plain loops, not a
+    # generator and a comprehension: on CPython 3.11 those cost about 1.5 us
+    # more a piece (2-vCPU Xeon VM), 2% of a 2,000-shot row.
+    outcomes = words[:, 1] >> 11
+    sent = None
+    for threshold in thresholds:
+        if threshold.ndim:  # a threshold per message: take the messages, once
+            sent = words[:, 0] >> 62
+            break
+    del words  # a piece then peaks no higher than a row alone did
+    counts = []
+    for threshold in thresholds:
+        counts.append(int(np.count_nonzero(outcomes < (threshold[sent] if threshold.ndim
+                                                       else threshold))))
+    return counts
 
 
 def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
@@ -302,22 +317,38 @@ def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,
 
 
 def _units(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, message: str | None):
-    """Work units of (row, threshold, start, count) pieces, from rows planned a batch at a
-    time: a chunk of at most _CHUNK_SHOTS shots of a longer row, or as many whole rows as fit."""
+    """Work units (batch, thresholds, pieces), from rows planned a batch at a time.
+
+    A piece (i, j, start, count) covers shots [start, start + count) of the
+    batch's rows i to j - 1, the consecutive rows on one stream tag: a chunk
+    of at most _CHUNK_SHOTS shots of longer rows, or all of them, and then a
+    unit packs as many pieces as fit. Pieces index the batch rather than
+    hold slices of it, so a group costs no more memory than its rows alone.
+    """
     rows = iter(rows)
     starts = range(0, shots, _CHUNK_SHOTS)
-    while batch := [(AnalyzerKind(analyzer), n_cycles, stream_tag)
+    # isinstance first: converting a member costs an enum call, about 0.5 us a row.
+    while batch := [(analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer),
+                     n_cycles, stream_tag)
                     for analyzer, n_cycles, stream_tag in itertools.islice(rows, _BATCH_ROWS)]:
         thresholds = _tally_plans(batch, message)
-        pieces = ((row, threshold, start, min(_CHUNK_SHOTS, shots - start))
-                  for row, threshold in zip(batch, thresholds) for start in starts)
-        while unit := list(itertools.islice(pieces, max(_CHUNK_SHOTS // shots, 1))):
-            yield unit
+        # Each group's rows are batch[i:j], between consecutive stops.
+        stops = [0, *[j for j in range(1, len(batch)) if batch[j][2] != batch[j - 1][2]],
+                 len(batch)]
+        pieces = ((i, j, start, min(_CHUNK_SHOTS, shots - start))
+                  for i, j in zip(stops, stops[1:]) for start in starts)
+        while taken := list(itertools.islice(pieces, max(_CHUNK_SHOTS // shots, 1))):
+            yield batch, thresholds, taken
 
 
 def _run_unit(master_seed: int, unit) -> list[int]:
-    return [_tally(master_seed, stream_tag, start, count, threshold)
-            for (_, _, stream_tag), threshold, start, count in unit]
+    """The survivors of each piece's rows, in one flat list: a unit in flight holds one
+    int a row, as when every row drew alone."""
+    batch, thresholds, pieces = unit
+    counts = []
+    for i, j, start, count in pieces:
+        counts += _tally(master_seed, batch[i][2], start, count, thresholds[i:j])
+    return counts
 
 
 def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
@@ -325,18 +356,19 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
              threads: int | None = None) -> Iterator[EfficiencyEstimate]:
     """Monte-Carlo sessions of `shots` shots for many rows, yielded in row order.
 
-    Each row is (analyzer, n_cycles, stream_tag) and draws from its own
-    stream. Rows are planned a bounded batch at a time, as they are needed,
-    so a row whose plan fails (N < 1, a non-finite survival) fails its batch
-    before any row of it is yielded; they are packed into work units of at
-    most 2**16 shots (see `_units`). With more than one thread (the argument,
-    else SDC_THREADS) and rows of _POOL_ROW_SHOTS shots or more, the units
-    run on a pool made when a second unit appears, a bounded window of them
-    in flight; an exception, in a unit or in the caller, cancels the units
-    not yet started. Otherwise they run in turn on the calling thread. Every
-    row's counts are an order-independent sum over its units, so the results
-    do not depend on the thread count, and memory grows with neither the row
-    count nor `shots`.
+    Each row is (analyzer, n_cycles, stream_tag) and draws from the stream
+    its tag names; consecutive rows of a batch on one stream draw its words
+    once and share them. Rows are planned a bounded batch at a time, as they
+    are needed, so a row whose plan fails (N < 1, a non-finite survival)
+    fails its batch before any row of it is yielded; they are packed into
+    work units of at most 2**16 shots (see `_units`). With more than one
+    thread (the argument, else SDC_THREADS) and rows of _POOL_ROW_SHOTS
+    shots or more, the units run on a pool made when a second unit appears,
+    a bounded window of them in flight; an exception, in a unit or in the
+    caller, cancels the units not yet started. Otherwise they run in turn on
+    the calling thread. Every row's counts are an order-independent sum over
+    its units, so the results do not depend on the thread count, and memory
+    grows with neither the row count nor `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -349,20 +381,24 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     pool = ThreadPoolExecutor(max_workers=threads) if len(head) > 1 else None
     window = _WINDOW_PER_THREAD * threads if pool else 0
     in_flight = collections.deque()  # (unit, its future or counts), oldest first
-    survived = 0  # the survivors in the finished pieces of the oldest unfinished row
+    survived = []  # per row, the survivors in the finished pieces of the oldest unfinished group
 
     def settle(limit):
         # Take the oldest units until at most `limit` are in flight, and
-        # yield each row whose last piece that finishes.
+        # yield the rows of each group whose last piece that finishes.
         nonlocal survived
         while len(in_flight) > limit:
-            unit, counts = in_flight.popleft()
-            for ((analyzer, n_cycles, _), _, start, count), s in zip(
-                    unit, counts.result() if pool else counts):
-                survived += s
+            (batch, _, pieces), counts = in_flight.popleft()
+            counts = counts.result() if pool else counts
+            k = 0  # the piece's first count
+            for i, j, start, count in pieces:
+                group_counts = counts[k:k + j - i]
+                k += j - i
+                survived = group_counts if start == 0 else [
+                    a + b for a, b in zip(survived, group_counts)]
                 if start + count == shots:
-                    yield _estimate(analyzer, n_cycles, shots, survived)
-                    survived = 0
+                    for (analyzer, n_cycles, _), s in zip(batch[i:j], survived):
+                        yield _estimate(analyzer, n_cycles, shots, s)
 
     try:
         for unit in itertools.chain(head, units):

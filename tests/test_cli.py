@@ -604,6 +604,26 @@ class TestSelftest:
                      "decode-roundtrip"):
             assert f"ok   {name}" in out
 
+    def test_a_biased_survival_threshold_fails_analytic_vs_mc(self, capsys, monkeypatch):
+        # Scaling p by 0.98 moves dqz's R at N = 12 by about 0.036, against a
+        # 4 sigma of about 0.0076 at 1e5 shots. The check runs no per-shot
+        # shot, so `_shot_plan`'s cache stays clean; clear it all the same.
+        real = protocol._survival_threshold
+        monkeypatch.setattr(protocol, "_survival_threshold", lambda p: real(p * 0.98))
+        try:
+            code, out, err = run_cli(capsys, "selftest")
+        finally:
+            protocol._shot_plan.cache_clear()
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL analytic-vs-mc: dqz N=12: ")
+        for name in ("operator-orthogonality", "channel-trace-preservation",
+                     "bell-target-fidelity", "golden-decode-table", "golden-thresholds",
+                     "decode-roundtrip"):
+            assert f"ok   {name}" in out.splitlines()
+        assert "selftest: 1 of 7 checks failed" in err
+
     def test_fault_injection_names_the_broken_invariants(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--inject-fault=k-sign")
         assert code == 1

@@ -498,6 +498,53 @@ class TestRunRows:
         assert got == [simulate(kind, n, shots, 3, message=message, stream_tag=tag, threads=1)
                        for kind, n, tag in rows]
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(st.sampled_from(ALL_KINDS),
+                                   st.one_of(st.integers(1, 60), st.integers(1, 10**6)),
+                                   st.sampled_from([0, 1, 2**64 - 1])), min_size=1, max_size=7),
+           shots=st.one_of(st.integers(1, 3_000),
+                           st.sampled_from([21_845, 21_846, 32_768, 65_535, 65_536, 65_537])),
+           message=st.sampled_from([None, "10"]), threads=st.sampled_from([1, 2]),
+           batch=st.sampled_from([1, 2, 3, protocol._BATCH_ROWS]))
+    @example(rows=[(AnalyzerKind.IFM, 12, 0), (AnalyzerKind.DQZ, 12, 0), (AnalyzerKind.QZ, 5, 1),
+                   (AnalyzerKind.IFM, 3, 0)], shots=65_537, message=None, threads=2, batch=3)
+    @example(rows=[(kind, 12, 0) for kind in ALL_KINDS], shots=100_000, message=None, threads=1,
+             batch=2)
+    def test_rows_on_shared_streams_equal_one_row_sessions(self, two_cpus, rows, shots, message,
+                                                           threads, batch):
+        # Consecutive rows on one tag share their draws, also when a batch
+        # edge splits them; each row still equals its own session.
+        with mock.patch.object(protocol, "_BATCH_ROWS", batch):
+            got = list(run_rows(rows, shots, 3, message=message, threads=threads))
+        assert got == [simulate(kind, n, shots, 3, message=message, stream_tag=tag, threads=1)
+                       for kind, n, tag in rows]
+
+    @pytest.mark.parametrize("shots", [1, 2_000, 65_536, 65_537, 140_000])
+    def test_rows_on_one_stream_draw_each_piece_once(self, monkeypatch, shots):
+        draws = []
+        real_uniforms = protocol.shot_uniforms
+
+        def spy(seed, start, count, tag=0):
+            draws.append((tag, start, count))
+            return real_uniforms(seed, start, count, tag)
+
+        monkeypatch.setattr(protocol, "shot_uniforms", spy)
+        chunks = [(start, min(protocol._CHUNK_SHOTS, shots - start))
+                  for start in range(0, shots, protocol._CHUNK_SHOTS)]
+        assert len(chunks) == -(-shots // 2**16)
+        # k rows on one stream draw its pieces once, not k times.
+        shared = [(AnalyzerKind.IFM, 12, 7), (AnalyzerKind.DQZ, 12, 7), (AnalyzerKind.QZ, 5, 7),
+                  (AnalyzerKind.IFM, 3, 7)]
+        assert len(list(run_rows(shared, shots, 1, threads=1))) == len(shared)
+        assert draws == [(7, start, count) for start, count in chunks]
+        # A sweep's rows, each on its own tag, draw one piece per row and chunk as before.
+        draws.clear()
+        sweep = [(kind, n, index * (1 << 32) + n) for index, kind in enumerate(ALL_KINDS)
+                 for n in range(2, 8)]
+        assert len(list(run_rows(sweep, shots, 1, threads=1))) == len(sweep)
+        assert draws == [(tag, start, count) for _, _, tag in sweep for start, count in chunks]
+
     @pytest.fixture
     def made(self, monkeypatch):
         """The pools `run_rows` makes, in order."""
@@ -613,7 +660,8 @@ class TestRunRows:
         # With the tally stubbed out, what is left is the runner's own
         # bookkeeping: a session of many work units must peak no higher than
         # one of ten. Keeping one entry per unit took about 160 bytes each.
-        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, threshold: count)
+        monkeypatch.setattr(protocol, "_tally",
+                            lambda seed, tag, start, count, thresholds: [count] * len(thresholds))
 
         def session(n_units):
             shots = n_units * protocol._CHUNK_SHOTS
@@ -630,7 +678,8 @@ class TestRunRows:
         # and its plans stubbed out, many rows must peak no higher than ten.
         # Holding the rows as tuples took about 100 bytes each.
         (plan,) = _tally_plans([(AnalyzerKind.DQZ, 12, 0)], None)
-        monkeypatch.setattr(protocol, "_tally", lambda seed, tag, start, count, threshold: count)
+        monkeypatch.setattr(protocol, "_tally",
+                            lambda seed, tag, start, count, thresholds: [count] * len(thresholds))
         monkeypatch.setattr(protocol, "_tally_plans", lambda batch, message: [plan] * len(batch))
 
         def sweep(count):
