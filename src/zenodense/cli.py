@@ -27,20 +27,8 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
-from . import metrics, protocol
-from .analyzers import (
-    ALL_BELL_STATES,
-    AnalyzerKind,
-    DetectorPair,
-    click_pair,
-    qz_is_degenerate,
-    survival_probability,
-)
-from .core import unitarity_defect
-from .optics import beam_splitter, polarization_rotator, pbs_route
-from .zeno import dqz_cycle_channel, post_gate_target
+from . import invariants, metrics, protocol
+from .analyzers import AnalyzerKind, qz_is_degenerate
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -236,130 +224,9 @@ def cmd_compare(target_r: float, fmt: str, out: str | None) -> int:
 # self-test
 
 
-def _check_operator_orthogonality(channels) -> str | None:
-    thetas = np.linspace(0.05, np.pi / 2, 24)
-    optical = [op.matrix for theta in thetas for op in (
-        beam_splitter(theta), polarization_rotator("H", theta), polarization_rotator("V", theta))]
-    for index, defect in enumerate(unitarity_defect(np.stack(optical))):
-        if defect >= 1e-12:
-            return f"optical operator defect {defect:.3e} at theta={thetas[index // 3]:.4f}"
-    for axis in ("H", "V"):
-        op = pbs_route(axis)
-        if np.max(np.abs(op.matrix @ op.matrix - np.eye(4))) >= 1e-12:
-            return f"PBS {axis} is not an involution"
-    for (branch, n), defect in zip(channels, unitarity_defect(np.stack(list(channels.values())))):
-        if defect >= 1e-12:
-            return f"cycle operator branch={branch} N={n}: defect {defect:.3e}"
-    return None
-
-
-def _check_channel_trace(powers) -> str | None:
-    for bell in ALL_BELL_STATES:
-        amps = bell.ket().amplitudes
-        rho = np.outer(amps, amps.conj())
-        for (branch, n), kn in powers.items():
-            if branch != bell.branch_index:
-                continue
-            p = survival_probability(AnalyzerKind.DQZ, bell, n)
-            total = p * np.trace(kn @ rho @ kn.T).real + (1.0 - p)
-            if abs(total - 1.0) > 1e-10:
-                return f"{bell.symbol} N={n}: total weight {total!r}"
-    return None
-
-
-def _check_bell_targets(powers) -> str | None:
-    for bell in ALL_BELL_STATES:
-        target = post_gate_target(bell).amplitudes
-        amps = bell.ket().amplitudes
-        rho = np.outer(amps, amps.conj())
-        for (branch, n), kn in powers.items():
-            if branch != bell.branch_index:
-                continue
-            conditional = kn @ rho @ kn.T
-            trace = float(np.trace(conditional).real)
-            if trace <= 0:
-                return f"{bell.symbol} N={n}: non-positive conditional trace"
-            fidelity = float(np.real(target.conj() @ conditional @ target)) / trace
-            if abs(fidelity - 1.0) > 1e-10:
-                return f"{bell.symbol} N={n}: target fidelity {fidelity!r}"
-    return None
-
-
-def _check_analytic_vs_mc() -> str | None:
-    shots = 100_000
-    # All three rows read stream tag 0 of seed 42: the runner draws its words once.
-    rows = [(kind, 12, 0) for kind in AnalyzerKind]
-    with contextlib.closing(protocol.run_rows(rows, shots, 42)) as estimates:
-        for estimate in estimates:
-            kind = estimate.analyzer
-            expected = metrics.r_analytic(kind, 12)
-            sigma = np.sqrt(max(expected * (2.0 - expected), 1e-12) / shots)
-            if abs(estimate.r_hat - expected) > 4.0 * sigma:
-                return (f"{kind.value} N=12: r_hat {estimate.r_hat:.6f} vs analytic "
-                        f"{expected:.6f} exceeds 4 sigma")
-    return None
-
-
-def _check_golden_decode() -> str | None:
-    golden = {
-        ("D1", "D3"): ("Phi-", "10"), ("D2", "D3"): ("Phi+", "00"),
-        ("D1", "D4"): ("Psi-", "11"), ("D2", "D4"): ("Psi+", "01"),
-        ("D2", "D6"): ("Phi-", "10"), ("D1", "D6"): ("Phi+", "00"),
-        ("D2", "D5"): ("Psi-", "11"), ("D1", "D5"): ("Psi+", "01"),
-    }
-    for (e_det, p_det), (symbol, message) in golden.items():
-        bell, decoded = protocol.decode(DetectorPair(e_det, p_det))
-        if bell.symbol != symbol or decoded != message:
-            return f"{e_det}*{p_det} decoded to ({bell.symbol}, {decoded}), expected ({symbol}, {message})"
-    return None
-
-
-def _check_golden_thresholds() -> str | None:
-    expected = {AnalyzerKind.QZ: (71, 71, True), AnalyzerKind.IFM: (24, 96, False),
-                AnalyzerKind.DQZ: (12, 24, False)}
-    for kind, (min_n, splitters, ancilla) in expected.items():
-        got_n = metrics.min_n_for_target(kind, 1.8)
-        got_res = metrics.resource_counts(kind, got_n)
-        if got_n != min_n or got_res != (splitters, ancilla):
-            return f"{kind.value}: got N={got_n}, resources={got_res}"
-    if metrics.min_n_for_target(AnalyzerKind.DQZ, metrics.EXPERIMENTAL_BENCHMARK_R) != 7:
-        return "dqz does not cross the experimental benchmark at N=7"
-    return None
-
-
-def _check_decode_roundtrip() -> str | None:
-    for kind in AnalyzerKind:
-        for message in protocol.MESSAGES:
-            bell = protocol.encode(message)
-            for m in (0, 1):
-                pair = click_pair(kind, bell, m)
-                decoded_bell, decoded = protocol.decode(pair, kind)
-                if decoded != message or decoded_bell is not bell:
-                    return f"{kind.value} m={m}: {message} -> {pair} -> {decoded}"
-    return None
-
-
 def run_selftest(inject_fault: str | None = None) -> int:
-    """Run the invariant suite; returns the process exit code."""
-    channels = {}
-    for branch in (0, 1):
-        for n in (1, 2, 3, 7, 12, 24, 64):
-            channels[(branch, n)] = np.array(dqz_cycle_channel(branch, n).operator)
-    if inject_fault == "k-sign":
-        for k in channels.values():
-            k[2, 3] *= -1.0  # corrupt the rotation sign pattern
-    # N cycles of each channel, once for both checks that read them.
-    powers = {(branch, n): np.linalg.matrix_power(k, n) for (branch, n), k in channels.items()}
-
-    checks = [
-        ("operator-orthogonality", lambda: _check_operator_orthogonality(channels)),
-        ("channel-trace-preservation", lambda: _check_channel_trace(powers)),
-        ("bell-target-fidelity", lambda: _check_bell_targets(powers)),
-        ("analytic-vs-mc", _check_analytic_vs_mc),
-        ("golden-decode-table", _check_golden_decode),
-        ("golden-thresholds", _check_golden_thresholds),
-        ("decode-roundtrip", _check_decode_roundtrip),
-    ]
+    """Run the invariant suite (`invariants.checks`); returns the process exit code."""
+    checks = invariants.checks(inject_fault)
     failures = 0
     for name, check in checks:
         try:

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenodense import cli, metrics, protocol
-from zenodense.analyzers import AnalyzerKind
+from zenodense import cli, invariants, metrics, protocol
+from zenodense.analyzers import AnalyzerKind, BellState, DetectorPair
 from zenodense.cli import main
 
 CSV_HEADER = "N,analyzer,R_analytic,R_mc,mc_shots,ci95_low,ci95_high"
@@ -580,6 +580,43 @@ class TestCompare:
         assert exc.value.code == 2
 
 
+SELFTEST_CHECKS = ("operator-orthogonality", "channel-trace-preservation", "bell-target-fidelity",
+                   "analytic-vs-mc", "golden-decode-table", "golden-thresholds", "decode-roundtrip")
+
+
+def selftest_lines(fails):
+    """The self-test's stdout lines when exactly the checks named in `fails` fail."""
+    return [f"FAIL {name}: {fails[name]}" if name in fails else f"ok   {name}"
+            for name in SELFTEST_CHECKS]
+
+
+def bias_survival(monkeypatch):
+    # Scaling p by 0.98 moves dqz's R at N = 12 by about 0.036, against a
+    # 4 sigma of about 0.0076 at 1e5 shots. The self-test runs no per-shot
+    # shot, so `_shot_plan`'s cache stays clean.
+    real = protocol._survival_threshold
+    monkeypatch.setattr(protocol, "_survival_threshold", lambda p: real(p * 0.98))
+
+
+def swap_two_decode_rows(monkeypatch):
+    table = dict(protocol._DECODE_TABLES[AnalyzerKind.DQZ])
+    a, b = DetectorPair("D1", "D3"), DetectorPair("D2", "D3")
+    table[a], table[b] = table[b], table[a]
+    monkeypatch.setitem(protocol._DECODE_TABLES, AnalyzerKind.DQZ, table)
+
+
+def shift_min_n(monkeypatch):
+    real = metrics.min_n_for_target
+    monkeypatch.setattr(metrics, "min_n_for_target", lambda kind, r: real(kind, r) + 1)
+
+
+def swap_phi_pairs(monkeypatch):
+    real = invariants.click_pair
+    swap = {BellState.PHI_PLUS: BellState.PHI_MINUS, BellState.PHI_MINUS: BellState.PHI_PLUS}
+    monkeypatch.setattr(invariants, "click_pair",
+                        lambda kind, bell, m=0: real(kind, swap.get(bell, bell), m))
+
+
 class TestSelftest:
     def test_passes_on_fresh_build_within_budget(self, capsys):
         import time
@@ -587,48 +624,37 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert time.perf_counter() - start < 60.0
         assert code == 0
-        assert "selftest: all 7 checks passed" in out
+        assert out.splitlines() == selftest_lines({}) + ["selftest: all 7 checks passed"]
 
     def test_raising_check_reports_fail_and_the_rest_still_run(self, capsys, monkeypatch):
         def raising_check():
             raise ValueError("invalid detector pair D2*D6 for dqz")
 
-        monkeypatch.setattr(cli, "_check_golden_decode", raising_check)
+        monkeypatch.setattr(invariants, "check_golden_decode", raising_check)
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
-        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert fails == [
-            "FAIL golden-decode-table: raised ValueError: invalid detector pair D2*D6 for dqz"]
-        for name in ("operator-orthogonality", "channel-trace-preservation",
-                     "bell-target-fidelity", "analytic-vs-mc", "golden-thresholds",
-                     "decode-roundtrip"):
-            assert f"ok   {name}" in out
+        assert out.splitlines() == selftest_lines(
+            {"golden-decode-table": "raised ValueError: invalid detector pair D2*D6 for dqz"})
 
-    def test_a_biased_survival_threshold_fails_analytic_vs_mc(self, capsys, monkeypatch):
-        # Scaling p by 0.98 moves dqz's R at N = 12 by about 0.036, against a
-        # 4 sigma of about 0.0076 at 1e5 shots. The check runs no per-shot
-        # shot, so `_shot_plan`'s cache stays clean; clear it all the same.
-        real = protocol._survival_threshold
-        monkeypatch.setattr(protocol, "_survival_threshold", lambda p: real(p * 0.98))
-        try:
-            code, out, err = run_cli(capsys, "selftest")
-        finally:
-            protocol._shot_plan.cache_clear()
+    @pytest.mark.parametrize("fault, fails", [
+        (lambda monkeypatch: ["--inject-fault=k-sign"], {
+            "operator-orthogonality": "cycle operator branch=0 N=2: defect 1.000e+00",
+            "channel-trace-preservation": "Phi+ N=2: total weight 1.2812499999999998",
+            "bell-target-fidelity": "Phi+ N=2: target fidelity 0.6666666666666666"}),
+        (bias_survival, {
+            "analytic-vs-mc": "dqz N=12: r_hat 1.768320 vs analytic 1.804867 exceeds 4 sigma"}),
+        # The round trip decodes through the same table.
+        (swap_two_decode_rows, {
+            "golden-decode-table": "D1*D3 decoded to (Phi+, 00), expected (Phi-, 10)",
+            "decode-roundtrip": "dqz m=0: 00 -> D2*D3 -> 10"}),
+        (shift_min_n, {"golden-thresholds": "qz: got N=72, resources=(72, True)"}),
+        (swap_phi_pairs, {"decode-roundtrip": "dqz m=0: 00 -> D1*D3 -> 10"}),
+    ], ids=["k-sign", "analytic-vs-mc", "decode-table", "thresholds", "click-pairs"])
+    def test_fault_injection_names_the_broken_invariants(self, capsys, monkeypatch, fault, fails):
+        code, out, err = run_cli(capsys, "selftest", *(fault(monkeypatch) or ()))
         assert code == 1
-        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(fails) == 1
-        assert fails[0].startswith("FAIL analytic-vs-mc: dqz N=12: ")
-        for name in ("operator-orthogonality", "channel-trace-preservation",
-                     "bell-target-fidelity", "golden-decode-table", "golden-thresholds",
-                     "decode-roundtrip"):
-            assert f"ok   {name}" in out.splitlines()
-        assert "selftest: 1 of 7 checks failed" in err
-
-    def test_fault_injection_names_the_broken_invariants(self, capsys):
-        code, out, err = run_cli(capsys, "selftest", "--inject-fault=k-sign")
-        assert code == 1
-        assert "FAIL channel-trace-preservation" in out
-        assert "bell-target-fidelity" in out
+        assert out.splitlines() == selftest_lines(fails)
+        assert err == f"selftest: {len(fails)} of 7 checks failed\n"
 
 
 class TestExitCodes:
