@@ -310,8 +310,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             if args.message != "uniform" and args.message not in protocol.MESSAGES:
                 parser.error("--message must be 00, 01, 10, 11, or uniform")
-            if args.n < 1 or args.shots < 1:
-                parser.error("need --n >= 1 and --shots >= 1")
+            if not 1 <= args.n <= metrics.MAX_CURVE_CYCLES or args.shots < 1:
+                parser.error(f"need 1 <= --n <= {metrics.MAX_CURVE_CYCLES} and --shots >= 1")
             return cmd_run(AnalyzerKind(args.analyzer), args.n, args.shots, args.seed,
                            args.message, args.out)
         if args.command == "compare":

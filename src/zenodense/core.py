@@ -27,6 +27,7 @@ float comparison decide every shot identically.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -46,10 +47,10 @@ DRAWS_PER_SHOT = 4
 
 
 def _as_complex_vector(values) -> np.ndarray:
-    amps = np.asarray(values, dtype=complex)
+    amps = np.array(values, dtype=complex)  # the one copy the state keeps
     if amps.ndim != 1:
         raise ValueError(f"expected a 1-d amplitude vector, got shape {amps.shape}")
-    if not np.all(np.isfinite(amps)):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     return amps
 
@@ -60,7 +61,7 @@ class PureState:
     __slots__ = ("labels", "amplitudes")
 
     def __init__(self, labels: Sequence[str], amplitudes, *, require_normalized: bool = True):
-        labels = tuple(str(label) for label in labels)
+        labels = tuple(map(str, labels))
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate basis labels: {labels}")
         amps = _as_complex_vector(amplitudes)
@@ -70,7 +71,6 @@ class PureState:
             norm_sq = float(np.vdot(amps, amps).real)
             if abs(norm_sq - 1.0) > ALGEBRA_TOL:
                 raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps = amps.copy()
         amps.setflags(write=False)
         self.labels = labels
         self.amplitudes = amps
@@ -127,16 +127,15 @@ class Operator:
     __slots__ = ("matrix", "labels")
 
     def __init__(self, matrix, labels: Sequence[str] | None = None):
-        mat = np.asarray(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex)  # the one copy the operator keeps
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("operator entries must be finite")
         if labels is not None:
-            labels = tuple(str(label) for label in labels)
+            labels = tuple(map(str, labels))
             if len(labels) != mat.shape[0]:
                 raise ValueError("label count does not match operator dimension")
-        mat = mat.copy()
         mat.setflags(write=False)
         self.matrix = mat
         self.labels = labels
@@ -158,12 +157,30 @@ class Operator:
         return f"Operator(dim={self.dim}, labels={self.labels})"
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity, built once per dimension."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
 def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
-    """max-norm of O^dag O - I: a float for one matrix, an array for a stack of them."""
-    mat = np.asarray(matrix, dtype=complex)
-    eye = np.eye(mat.shape[-1])
-    defect = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - eye), axis=(-2, -1))
-    return float(defect) if mat.ndim == 2 else defect
+    """max-norm of O^dag O - I: a float for one matrix, an array for a stack of them.
+
+    The one defect kernel for every operator: a float matrix keeps real
+    arithmetic, anything else is taken as complex. A single matrix skips the
+    stacked-axis reduction, and its defect equals its entry in a stack bit
+    for bit.
+    """
+    mat = np.asarray(matrix)
+    if mat.dtype != float:
+        mat = mat.astype(complex, copy=False)
+    gram = mat.conj().swapaxes(-1, -2) @ mat
+    gram -= _identity(mat.shape[-1])
+    if mat.ndim == 2:
+        return float(np.abs(gram).max())
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 ELECTRON_LABELS = ("block", "pass")

@@ -41,16 +41,31 @@ GOLDEN_THRESHOLDS = {AnalyzerKind.QZ: (71, 71, True), AnalyzerKind.IFM: (24, 96,
 
 
 def cycle_channels(cycles: Iterable[int] = (1, 2, 3, 7, 12, 24, 64),
-                   inject_fault: str | None = None) -> tuple[dict, dict]:
-    """Each dual-Zeno cycle operator K and its N-cycle power, as dicts keyed (branch, N).
+                   inject_fault: str | None = None) -> tuple[dict, tuple]:
+    """Each dual-Zeno cycle operator K, as a dict keyed (branch, N), and for each Bell
+    input (Bell state, Ns, states): the conditional states K^N rho K^N^T under each
+    N-cycle power of its branch's K, stacked in the order of Ns. Every returned array
+    is read-only, so the checks that share one build cannot change what the next reads.
     inject_fault="k-sign" first flips one sign of every K, which each channel check must catch."""
     operators = {(branch, n): np.array(dqz_cycle_channel(branch, n).operator)
                  for branch in (0, 1) for n in cycles}
     if inject_fault == "k-sign":
         for k in operators.values():
             k[2, 3] *= -1.0  # corrupt the rotation sign pattern
-    powers = {(branch, n): np.linalg.matrix_power(k, n) for (branch, n), k in operators.items()}
-    return operators, powers
+    for k in operators.values():
+        k.setflags(write=False)
+    ns = tuple(n for branch, n in operators if branch == 0)
+    powers = {branch: np.stack([np.linalg.matrix_power(operators[branch, n], n) for n in ns])
+              for branch in (0, 1)}
+    conditionals = []
+    for bell in ALL_BELL_STATES:
+        amps = bell.ket().amplitudes
+        kn = powers[bell.branch_index]
+        # One stacked product; each state equals its own product bit for bit.
+        states = kn @ np.outer(amps, amps.conj()) @ kn.swapaxes(-1, -2)
+        states.setflags(write=False)
+        conditionals.append((bell, ns, states))
+    return operators, tuple(conditionals)
 
 
 def check_operator_orthogonality(operators) -> str | None:
@@ -70,35 +85,31 @@ def check_operator_orthogonality(operators) -> str | None:
     return None
 
 
-def _conditionals(powers):
-    """(Bell state, N, K^N rho K^N^T) for each Bell input and each power of its branch's K."""
-    for bell in ALL_BELL_STATES:
-        amps = bell.ket().amplitudes
-        rho = np.outer(amps, amps.conj())
-        for (branch, n), kn in powers.items():
-            if branch == bell.branch_index:
-                yield bell, n, kn @ rho @ kn.T
+def _traces(states) -> list[float]:
+    """The trace of each state in a stack, as Python floats."""
+    return np.trace(states, axis1=1, axis2=2).real.tolist()
 
 
-def check_channel_trace(powers) -> str | None:
-    for bell, n, conditional in _conditionals(powers):
-        p = survival_probability(AnalyzerKind.DQZ, bell, n)
-        total = p * np.trace(conditional).real + (1.0 - p)
-        if abs(total - 1.0) > ACCUMULATION_TOL:
-            return f"{bell.symbol} N={n}: total weight {float(total)!r}"
+def check_channel_trace(conditionals) -> str | None:
+    for bell, ns, states in conditionals:
+        for n, trace in zip(ns, _traces(states)):
+            p = survival_probability(AnalyzerKind.DQZ, bell, n)
+            total = p * trace + (1.0 - p)
+            if abs(total - 1.0) > ACCUMULATION_TOL:
+                return f"{bell.symbol} N={n}: total weight {total!r}"
     return None
 
 
-def check_bell_targets(powers) -> str | None:
-    targets = {bell: post_gate_target(bell).amplitudes for bell in ALL_BELL_STATES}
-    for bell, n, conditional in _conditionals(powers):
-        trace = float(np.trace(conditional).real)
-        if trace <= 0:
-            return f"{bell.symbol} N={n}: non-positive conditional trace"
-        target = targets[bell]
-        fidelity = float(np.real(target.conj() @ conditional @ target)) / trace
-        if abs(fidelity - 1.0) > ACCUMULATION_TOL:
-            return f"{bell.symbol} N={n}: target fidelity {fidelity!r}"
+def check_bell_targets(conditionals) -> str | None:
+    for bell, ns, states in conditionals:
+        target = post_gate_target(bell).amplitudes
+        overlaps = np.real(target.conj() @ states @ target).tolist()
+        for n, trace, overlap in zip(ns, _traces(states), overlaps):
+            if trace <= 0:
+                return f"{bell.symbol} N={n}: non-positive conditional trace"
+            fidelity = overlap / trace
+            if abs(fidelity - 1.0) > ACCUMULATION_TOL:
+                return f"{bell.symbol} N={n}: target fidelity {fidelity!r}"
     return None
 
 
@@ -152,11 +163,11 @@ def check_decode_roundtrip() -> str | None:
 
 def checks(inject_fault: str | None = None) -> list[tuple[str, Callable[[], str | None]]]:
     """The self-test's (name, check) pairs in order, on one build of the channels."""
-    operators, powers = cycle_channels(inject_fault=inject_fault)
+    operators, conditionals = cycle_channels(inject_fault=inject_fault)
     return [
         ("operator-orthogonality", lambda: check_operator_orthogonality(operators)),
-        ("channel-trace-preservation", lambda: check_channel_trace(powers)),
-        ("bell-target-fidelity", lambda: check_bell_targets(powers)),
+        ("channel-trace-preservation", lambda: check_channel_trace(conditionals)),
+        ("bell-target-fidelity", lambda: check_bell_targets(conditionals)),
         ("analytic-vs-mc", check_analytic_vs_mc),
         ("golden-decode-table", check_golden_decode),
         ("golden-thresholds", check_golden_thresholds),

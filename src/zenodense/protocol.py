@@ -297,7 +297,10 @@ def _tally(master_seed: int, stream_tag: int, start: int, count: int,
     sent = None
     for threshold in thresholds:
         if threshold.ndim:  # a threshold per message: take the messages, once
-            sent = words[:, 0] >> 62
+            # As int64 (the values are 0..3, so the view is exact): numpy would
+            # cast-copy a uint64 index before the gather, about 175 against 55 us
+            # per 65,536 shots (2-vCPU Xeon VM).
+            sent = (words[:, 0] >> 62).view(np.int64)
             break
     del words  # a piece then peaks no higher than a row alone did
     counts = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import COMPOSITE_LABELS, BellState
-from .core import ALGEBRA_TOL, DensityMatrix, OutcomeDistribution, PureState
+from .core import ALGEBRA_TOL, DensityMatrix, OutcomeDistribution, PureState, unitarity_defect
 from .ifm import AbsorberState
 from .optics import (
     POLARIZATION_LABELS,
@@ -58,10 +58,12 @@ class CycleChannel:
     n_cycles: int
 
     def __post_init__(self):
-        mat = np.asarray(self.operator, dtype=float).copy()
+        mat = np.array(self.operator, dtype=float)
+        if mat.shape != (4, 4):
+            raise ValueError(f"cycle operator must be 4x4, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "operator", mat)
-        defect = float(np.max(np.abs(mat.T @ mat - np.eye(4))))
+        defect = unitarity_defect(mat)
         if defect >= ALGEBRA_TOL:
             raise ValueError(f"cycle operator is not orthogonal (defect {defect:.3e})")
         if not 0.0 < self.survival_p <= 1.0:
@@ -134,7 +136,7 @@ def post_gate_target(bell: BellState) -> PureState:
     """
     electron = np.array([1.0, -float(bell.sign)]) / np.sqrt(2.0)
     pol = np.array([1.0, 0.0]) if bell.surviving_polarization == "H" else np.array([0.0, 1.0])
-    return PureState(COMPOSITE_LABELS, np.kron(electron, pol))
+    return PureState(COMPOSITE_LABELS, np.outer(electron, pol).ravel())  # electron (x) pol
 
 
 # ---------------------------------------------------------------------------

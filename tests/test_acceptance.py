@@ -80,10 +80,10 @@ def test_06_conditional_decode_correctness():
 
 def test_07_channel_algebra():
     with criterion("7 channel algebra: orthogonality, trace, separable targets, N = 1..64"):
-        operators, powers = invariants.cycle_channels(range(1, 65))
+        operators, conditionals = invariants.cycle_channels(range(1, 65))
         assert invariants.check_operator_orthogonality(operators) is None
-        assert invariants.check_channel_trace(powers) is None
-        assert invariants.check_bell_targets(powers) is None
+        assert invariants.check_channel_trace(conditionals) is None
+        assert invariants.check_bell_targets(conditionals) is None
 
 
 def test_08_element_level_oracle():

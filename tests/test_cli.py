@@ -691,6 +691,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "1000001", str(10**400)], ids=["zero", "cap+1", "10**400"])
+    def test_run_n_outside_the_curve_range_exits_two(self, capsys, n):
+        # The sweep's bound: past 10**6 the closed forms are unchecked, and
+        # 10**400 used to overflow in the tally with a traceback and exit 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--analyzer=dqz", f"--n={n}", "--shots=10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "need 1 <= --n <= 1000000" in err and "Traceback" not in err
+
+    def test_run_at_the_curve_cap_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--analyzer=dqz", "--n=1000000", "--shots=10")
+        assert code == 0 and json.loads(out)["n"] == 1000000
+
     def test_n_max_beyond_curve_cap_exits_two(self, capsys):
         # Past 10**6 cycles the per-row stream tags would head for collisions.
         with pytest.raises(SystemExit) as exc:

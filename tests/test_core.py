@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zenodense import core
 from zenodense.core import (
+    ALGEBRA_TOL,
     DRAWS_PER_SHOT,
     DensityMatrix,
     Operator,
@@ -174,6 +175,20 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError, match="finite"):
             Operator([[1.0, np.inf], [0.0, 1.0]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            Operator([[1.0, 0.0], [np.nan, 1.0]])
+
+    def test_unitary_tolerance_edge(self):
+        # diag(sqrt(1 + d), 1) has defect d to rounding: just above the
+        # tolerance it is rejected, just below it is accepted.
+        above, below = (np.diag([np.sqrt(1.0 + f * ALGEBRA_TOL), 1.0]) for f in (1.2, 0.8))
+        assert ALGEBRA_TOL < unitarity_defect(above) < 1.5 * ALGEBRA_TOL
+        with pytest.raises(ValueError, match="not unitary"):
+            Operator.unitary(above)
+        assert unitarity_defect(below) < ALGEBRA_TOL
+        Operator.unitary(below)
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
             Operator(np.eye(2), ("a", "b", "c"))
@@ -191,6 +206,36 @@ class TestOperatorConstruction:
     @given(st.floats(0.01, np.pi / 2))
     def test_repo_constructors_are_unitary(self, theta):
         assert unitarity_defect(beam_splitter(theta).matrix) < 1e-12
+
+
+class TestUnitarityDefect:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kind", ["unitary", "non-unitary", "orthogonal", "real"])
+    def test_single_matrix_equals_its_entry_in_a_stack(self, dim, kind):
+        # A single matrix takes its own path; it must match the stacked one bit for bit.
+        rng = np.random.default_rng(dim)
+        for _ in range(25):
+            shape = (8, dim, dim)
+            stack = rng.normal(size=shape)
+            if kind in ("unitary", "non-unitary"):
+                stack = stack + 1j * rng.normal(size=shape)
+            if kind in ("unitary", "orthogonal"):
+                stack = np.linalg.qr(stack)[0]
+            defects = unitarity_defect(stack)
+            assert defects.shape == (8,)
+            for matrix, defect in zip(stack, defects):
+                single = unitarity_defect(matrix)
+                assert type(single) is float and single == defect
+            if kind in ("unitary", "orthogonal"):
+                assert defects.max() < ALGEBRA_TOL
+            else:
+                assert defects.min() > ALGEBRA_TOL
+
+    def test_real_and_complex_agree_on_the_verdict(self):
+        rotation = beam_splitter(0.3).matrix
+        assert unitarity_defect(rotation.real) < ALGEBRA_TOL
+        assert abs(unitarity_defect(rotation.real) - unitarity_defect(rotation)) < 1e-15
+        assert unitarity_defect([[1, 0], [1, 1]]) == 1.0
 
 
 class TestPolarizationMarginal:

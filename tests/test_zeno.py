@@ -10,6 +10,7 @@ from zenodense.core import PureState
 from zenodense.ifm import AbsorberState
 from zenodense.zeno import (
     DISCARDED,
+    CycleChannel,
     cycle_survival,
     dqz_apply,
     dqz_asymptotic,
@@ -29,6 +30,15 @@ def photon(alpha, beta):
 
 
 class TestCycleChannel:
+    def test_rejects_a_non_orthogonal_or_misshapen_operator(self):
+        skewed = np.eye(4)
+        skewed[2, 3] = 1e-6
+        with pytest.raises(ValueError, match="not orthogonal"):
+            CycleChannel(skewed, 0.5, 2)
+        for shape in [(2, 2), (4,), (4, 3)]:
+            with pytest.raises(ValueError, match="4x4"):
+                CycleChannel(np.ones(shape), 0.5, 2)
+
     def test_branch_zero_at_two_cycles(self):
         channel = dqz_cycle_channel(0, 2)
         assert channel.survival_p == pytest.approx(0.75, abs=1e-15)
