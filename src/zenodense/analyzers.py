@@ -133,7 +133,7 @@ _HADAMARD_ON_ELECTRON = np.kron(hadamard().matrix, np.eye(2))
 _PHOTON_DETECTOR = {("V", 0): "D3", ("V", 1): "D6", ("H", 0): "D4", ("H", 1): "D5"}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)  # `analyze` asks at every N: bounded like its neighbours
 def _dqz_pair_from_channel(bell: BellState, n_cycles: int, m: int) -> DetectorPair:
     """Derive the click pair by actually measuring the channel output."""
     conditional = dqz_apply(bell, n_cycles).surviving.matrix
@@ -295,8 +295,7 @@ def survival_law(kind: AnalyzerKind, bell: BellState, n_cycles) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def survival_probability(kind: AnalyzerKind, bell: BellState, n_cycles: int) -> float:
-    """`survival_law` at one N, cached: per-shot runs ask for the same few
-    (kind, Bell, N) again and again."""
+    """`survival_law` at one N, as a float, cached."""
     return float(survival_law(kind, bell, n_cycles))
 
 

@@ -14,13 +14,11 @@ objects anywhere are RNG streams, each owned by a single caller or kept
 private to a single thread.
 
 Randomness is counter-based: shot i owns the i-th Philox block of four
-64-bit words. `shot_words` reads words 0 and 1 of a block for the per-shot
-runner and `shot_uniforms` the raw words of many shots for the vectorized
-Monte-Carlo, which compares the top bits of words 0 and 1 against integer
-thresholds; both draw from one per-thread generator that walks on from the
-block it last drew, and a thread walking its shots in order reads 64 blocks
-ahead. `shot_stream` reads a block as uniform doubles from a generator of
-the caller's own. Uniform j of a shot is
+64-bit words. `shot_uniforms` reads the raw words of a run of shots from one
+per-thread generator that walks on from the block it last drew, for both the
+vectorized Monte-Carlo and the per-shot runner, which compare the top bits
+of words 0 and 1 against integer thresholds. `shot_stream` reads a block as
+uniform doubles from a generator of the caller's own. Uniform j of a shot is
 (word j >> 11) * 2**-53, numpy's own Philox double, so the integer and the
 float comparison decide every shot identically.
 """
@@ -308,7 +306,6 @@ def _key(master_seed: int, stream_tag: int) -> np.ndarray:
 
 _WORD = (1 << 64) - 1
 _walk = threading.local()  # per thread: its Philox and the (seed, tag, shot) it draws next
-_READ_AHEAD = 64  # blocks an in-order `shot_words` walk draws at once
 
 
 def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.random.Generator:
@@ -325,57 +322,35 @@ def shot_stream(master_seed: int, shot_index: int, stream_tag: int = 0) -> np.ra
     return np.random.Generator(bits)
 
 
-def _draw(master_seed: int, stream_tag: int, first_shot: int, n_shots: int) -> np.ndarray:
-    """The raw words of shots [first_shot, first_shot + n_shots), flat, from the
-    calling thread's private Philox. It remembers the (seed, tag, block) it
-    draws next, so a call that goes on from the last one re-keys nothing."""
-    if getattr(_walk, "next", None) != (master_seed, stream_tag, first_shot):
+def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
+                  stream_tag: int = 0) -> np.ndarray:
+    """Raw Philox words for shots [start_shot, start_shot + n_shots), shape (n, DRAWS_PER_SHOT).
+
+    The words are uint64, from the calling thread's private Philox. It
+    remembers the (seed, tag, block) it draws next, so a call that goes on
+    from the last one re-keys nothing. Uniform j of shot i is
+    (w[i, j] >> 11) * 2**-53, exactly numpy's Philox double, so row i
+    converted that way equals
+    shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT) bit for
+    bit. For p in [0, 1], u < p holds exactly when
+    (w >> 11) < ceil(p * 2**53), and min(int(4 * u), 3) equals w >> 62: both
+    protocol runners, whole arrays of shots and one shot at a time, decide on
+    these integers what numpy's uniforms would decide as floats, shot for shot.
+    """
+    if start_shot < 0 or n_shots < 0:
+        raise ValueError("start_shot and n_shots must be non-negative")
+    if getattr(_walk, "next", None) != (master_seed, stream_tag, start_shot):
         key = _key(master_seed, stream_tag)
         if not hasattr(_walk, "bits"):
             _walk.bits = np.random.Philox(key=key)
         # Philox steps its 256-bit counter before it fills the empty buffer,
         # so counter i with buffer_pos 4 draws block i, as advance(i) from
         # counter 0 does (modulo 2**256 in both cases).
-        counter = [(int(first_shot) >> shift) & _WORD for shift in (0, 64, 128, 192)]
+        counter = [(int(start_shot) >> shift) & _WORD for shift in (0, 64, 128, 192)]
         _walk.bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
                             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
                             "state": {"counter": np.array(counter, np.uint64), "key": key}}
-        _walk.next = (master_seed, stream_tag, first_shot)  # in case the draw fails
+        _walk.next = (master_seed, stream_tag, start_shot)  # in case the draw fails
     words = _walk.bits.random_raw(int(n_shots) * DRAWS_PER_SHOT)
-    _walk.next = (master_seed, stream_tag, first_shot + n_shots)
-    return words
-
-
-def shot_words(master_seed: int, shot_index: int, stream_tag: int = 0) -> tuple[int, int]:
-    """Words 0 and 1 of the shot's Philox block, as Python ints: row 0 of
-    shot_uniforms(master_seed, shot_index, 1, stream_tag). A thread holds the
-    words of its last draw, a pure function of (seed, tag, first block); a call
-    for the block after them draws _READ_AHEAD blocks, any other call one."""
-    if shot_index < 0:
-        raise ValueError("shot_index must be non-negative")
-    seed, tag, first, words = getattr(_walk, "held", (None, None, 0, ()))
-    i = (shot_index - first) * DRAWS_PER_SHOT
-    if seed != master_seed or tag != stream_tag or not 0 <= i < len(words):
-        n = _READ_AHEAD if (seed, tag, i) == (master_seed, stream_tag, len(words)) else 1
-        words = _draw(master_seed, stream_tag, shot_index, n).tolist()
-        _walk.held = (master_seed, stream_tag, shot_index, words)
-        i = 0
-    return words[i], words[i + 1]
-
-
-def shot_uniforms(master_seed: int, start_shot: int, n_shots: int,
-                  stream_tag: int = 0) -> np.ndarray:
-    """Raw Philox words for shots [start_shot, start_shot + n_shots), shape (n, DRAWS_PER_SHOT).
-
-    The words are uint64, from the same per-thread Philox as `shot_words`.
-    Uniform j of shot i is (w[i, j] >> 11) * 2**-53, exactly numpy's Philox
-    double, so row i converted that way equals
-    shot_stream(master_seed, start_shot + i).random(DRAWS_PER_SHOT) bit for
-    bit. For p in [0, 1], u < p holds exactly when
-    (w >> 11) < ceil(p * 2**53), and min(int(4 * u), 3) equals w >> 62: the
-    vectorized Monte-Carlo and the per-shot runner decide on these integers
-    what numpy's uniforms would decide as floats, shot for shot.
-    """
-    if start_shot < 0 or n_shots < 0:
-        raise ValueError("start_shot and n_shots must be non-negative")
-    return _draw(master_seed, stream_tag, start_shot, n_shots).reshape(int(n_shots), DRAWS_PER_SHOT)
+    _walk.next = (master_seed, stream_tag, start_shot + n_shots)
+    return words.reshape(int(n_shots), DRAWS_PER_SHOT)

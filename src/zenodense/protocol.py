@@ -9,11 +9,13 @@ at import), so the estimator is r_hat = 2 * survivors / shots, no decode errors.
 Monte-Carlo determinism: shot i consumes words w0 (message selection,
 burned even when the message is fixed) and w1 (outcome draw) of its own
 counter-based stream, and keeps its photon when w1's top 53 bits fall below
-the integer threshold ceil(p * 2**53). `run_protocol` decides one shot at a
-time (its words read ahead on in-order walks, its fate from one cached
-plan); `run_rows` (many rows of a sweep at once, packed into work units of
-up to 2**16 shots, consecutive rows on one stream drawing its words once)
-and `simulate` (its one-row case) decide whole arrays of shots.
+the integer threshold ceil(p * 2**53). Both runners take their thresholds
+from `_tally_plans` and read the words by one rule (`_message_index`,
+`_survival_score`): `run_rows` (many rows of a sweep at once, packed into
+work units of up to 2**16 shots, consecutive rows on one stream drawing
+its words once) and `simulate` (its one-row case) count survivors over
+whole arrays of shots, and `run_protocol` looks its shot up among those
+it decided with its last draw, 64 at a time on in-order walks.
 
 Both result records, `RunOutcome` and `EfficiencyEstimate`, are immutable named
 tuples whose every constructor (`_make` and `_replace` too) checks their fields:
@@ -27,6 +29,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -38,31 +41,24 @@ from .analyzers import (
     AnalyzerKind,
     BellState,
     DetectorPair,
-    analyze,
+    analyze,  # noqa: F401
     click_pair,
     survival_law,
     survival_probability,  # noqa: F401
 )
-# bench/layers.py wraps shot_stream and survival_probability on this module;
-# they can go once its traced run no longer does (ROADMAP item 1).
-from .core import shot_stream, shot_uniforms, shot_words  # noqa: F401
+# bench/layers.py wraps analyze, shot_stream and survival_probability on this
+# module, though protocol calls none of them; they can go once its traced run no
+# longer does (ROADMAP item 1).
+from .core import shot_stream, shot_uniforms  # noqa: F401
 
 MESSAGES = ("00", "01", "10", "11")
+_MESSAGE_INDEX = {message: index for index, message in enumerate(MESSAGES)}
 
 _MESSAGE_TO_BELL = {
     "00": BellState.PHI_PLUS,
     "01": BellState.PSI_PLUS,
     "10": BellState.PHI_MINUS,
     "11": BellState.PSI_MINUS,
-}
-
-# Binary (electron, photon) basis used only to verify the Pauli route:
-# block = 0, pass = 1; V = 0, H = 1. Order: 00, 01, 10, 11.
-_BELL_BINARY = {
-    BellState.PHI_PLUS: np.array([1, 0, 0, 1]) / np.sqrt(2),
-    BellState.PHI_MINUS: np.array([1, 0, 0, -1]) / np.sqrt(2),
-    BellState.PSI_PLUS: np.array([0, 1, 1, 0]) / np.sqrt(2),
-    BellState.PSI_MINUS: np.array([0, 1, -1, 0]) / np.sqrt(2),
 }
 
 _PAULI = {
@@ -74,13 +70,13 @@ _PAULI = {
 
 
 def _verify_encoding_table() -> None:
-    # Alice's Pauli acts on the electron factor of Phi+; the result must be
-    # the advertised Bell ket up to a global phase.
-    phi_plus = _BELL_BINARY[BellState.PHI_PLUS].astype(complex)
+    # Alice's Pauli acts on the electron, the first factor of the composite
+    # basis; applied to Phi+ it must give the advertised Bell ket up to a
+    # global phase.
+    phi_plus = BellState.PHI_PLUS.ket().amplitudes
     for message, bell in _MESSAGE_TO_BELL.items():
-        op = np.kron(_PAULI[message], np.eye(2))
-        produced = op @ phi_plus
-        overlap = abs(np.vdot(_BELL_BINARY[bell].astype(complex), produced))
+        produced = np.kron(_PAULI[message], np.eye(2)) @ phi_plus
+        overlap = abs(np.vdot(bell.ket().amplitudes, produced))
         if abs(overlap - 1.0) > 1e-12:
             raise AssertionError(f"Pauli encoding of {message} does not reach {bell}")
 
@@ -182,39 +178,6 @@ class EfficiencyEstimate(_EstimateFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@functools.lru_cache(maxsize=1024)
-def _shot_plan(analyzer: AnalyzerKind, message: str, n_cycles: int, m: int):
-    """(threshold, clicks, Bell estimate, decoded message) of a shot: `analyze` lists
-    survival first, with probability p, so its `pick(u)` keeps the photon exactly when
-    u < p, that is when u's 53 bits fall below `_survival_threshold(p)`."""
-    (detected, p), _ = analyze(analyzer, encode(message), n_cycles, m)
-    return int(_survival_threshold(p)), detected.clicks, *decode(detected.clicks, analyzer)
-
-
-def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
-                 master_seed: int, shot_index: int = 0, m: int = 0) -> RunOutcome:
-    """One shot: encode, analyze, decide survival, decode.
-
-    Pass message="uniform" to draw the message from the top two bits of the
-    shot's word 0. Word 1 decides survival either way, so fixed-message and
-    uniform-message runs stay stream-aligned with `simulate`. The photon
-    survives when word 1's top 53 bits fall below the survival threshold,
-    the integer rule `run_rows` applies to whole arrays. The first shot of an
-    (analyzer, message, N, m) builds its plan from `analyze` and `decode`;
-    later shots look it up, and shots run in order re-key nothing.
-    """
-    analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
-    w_message, w_outcome = shot_words(master_seed, shot_index)
-    if message == "uniform":
-        message = MESSAGES[w_message >> 62]
-    threshold, clicks, bell_estimate, decoded = _shot_plan(analyzer, message, n_cycles, m)
-    if (w_outcome >> 11) < threshold:
-        return RunOutcome(message, decoded, bell_estimate, clicks, False,
-                          analyzer, n_cycles, master_seed, shot_index)
-    return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
-                      master_seed, shot_index)
-
-
 def _resolve_threads(threads: int | None) -> int:
     """Worker threads for `run_rows`: the argument, else SDC_THREADS, else 1.
 
@@ -284,30 +247,89 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
     return [next(plans[row[0]]) for row in batch]
 
 
+def _scores(words: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each shot's word 1's top 53 bits, which keep its photon when they fall below its
+    message's threshold, and, where some threshold is one per message, its message
+    index: word 0's top two bits (a fixed message still burns word 0)."""
+    for threshold in thresholds:
+        if threshold.ndim:
+            # As int64 (the values are 0..3, so the view is exact): numpy would
+            # cast-copy a uint64 index before the gather, about 175 against 55 us
+            # per 65,536 shots (2-vCPU Xeon VM).
+            return words[:, 1] >> 11, (words[:, 0] >> 62).view(np.int64)
+    return words[:, 1] >> 11, None
+
+
 def _tally(master_seed: int, stream_tag: int, start: int, count: int,
            thresholds: list[np.uint64 | np.ndarray]) -> list[int]:
     """A piece of a work unit: the survivors among shots [start, start + count) of one
     stream, for each threshold (one per row on that stream), from one draw of its words."""
-    words = shot_uniforms(master_seed, start, count, stream_tag)
-    # Word 1's top 53 bits decide survival and word 0's top two bits pick
-    # the message; a fixed message still burns word 0. Plain loops, not a
-    # generator and a comprehension: on CPython 3.11 those cost about 1.5 us
-    # more a piece (2-vCPU Xeon VM), 2% of a 2,000-shot row.
-    outcomes = words[:, 1] >> 11
-    sent = None
-    for threshold in thresholds:
-        if threshold.ndim:  # a threshold per message: take the messages, once
-            # As int64 (the values are 0..3, so the view is exact): numpy would
-            # cast-copy a uint64 index before the gather, about 175 against 55 us
-            # per 65,536 shots (2-vCPU Xeon VM).
-            sent = (words[:, 0] >> 62).view(np.int64)
-            break
-    del words  # a piece then peaks no higher than a row alone did
+    outcomes, sent = _scores(shot_uniforms(master_seed, start, count, stream_tag), thresholds)
+    # The words are dropped: a piece then peaks no higher than a row alone did.
+    # A plain loop, not a comprehension: on CPython 3.11 that costs about
+    # 1.5 us more a piece (2-vCPU Xeon VM), 2% of a 2,000-shot row.
     counts = []
     for threshold in thresholds:
         counts.append(int(np.count_nonzero(outcomes < (threshold[sent] if threshold.ndim
                                                        else threshold))))
     return counts
+
+
+_WINDOW_SHOTS = 64  # shots a call that goes on from the last one decides at once
+_window = threading.local()  # per thread: the shots it decided with its last draw
+
+
+@functools.lru_cache(maxsize=1024)
+def _shot_plan(analyzer: AnalyzerKind, n_cycles: int, m: int):
+    """(thresholds, records) of the shots of one (analyzer, N, m): each message's
+    survival threshold as `_tally_plans` gives it to `run_rows`, and each message's
+    (message, decoded message, Bell estimate, clicks) should its photon survive."""
+    if m not in (0, 1):
+        raise ValueError("m must be 0 or 1")
+    (limit,) = _tally_plans([(analyzer, n_cycles, 0)], None)
+    records = []
+    for message in MESSAGES:
+        clicks = click_pair(analyzer, encode(message), m)
+        bell, decoded = decode(clicks, analyzer)
+        records.append((message, decoded, bell, clicks))
+    return np.broadcast_to(limit, len(MESSAGES)), tuple(records)
+
+
+def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
+                 master_seed: int, shot_index: int = 0, m: int = 0) -> RunOutcome:
+    """One shot: encode, analyze, decide survival, decode.
+
+    Pass message="uniform" to draw the message from the top two bits of the
+    shot's word 0. Word 1 decides survival either way, by `run_rows`' own
+    thresholds and rule, so every shot equals its shot in `simulate`. A
+    thread holds the shots it decided, for every message, with its last
+    draw; a call for the shot after them, on the same seed and plan, draws
+    the next _WINDOW_SHOTS shots, any other call one.
+    """
+    analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
+    index = _MESSAGE_INDEX.get(message)
+    if index is None and message != "uniform":
+        raise ValueError(f"message must be one of {MESSAGES} or 'uniform', got {message!r}")
+    if shot_index < 0:
+        raise ValueError("shot_index must be non-negative")
+    plan = _shot_plan(analyzer, n_cycles, m)
+    seed, held, first, sent, kept = getattr(_window, "held", (None, None, 0, (), ()))
+    i = shot_index - first
+    if seed != master_seed or held is not plan or not 0 <= i < len(sent):
+        goes_on = seed == master_seed and held is plan and i == len(sent)
+        words = shot_uniforms(master_seed, shot_index, _WINDOW_SHOTS if goes_on else 1)
+        outcomes, sent = _scores(words, [plan[0]])  # thresholds per message: sent too
+        sent, kept = sent.tolist(), (outcomes[:, None] < plan[0]).tolist()
+        _window.held = (master_seed, plan, shot_index, sent, kept)
+        i = 0
+    if index is None:
+        index = sent[i]
+    message, decoded, bell_estimate, clicks = plan[1][index]
+    if kept[i][index]:
+        return RunOutcome(message, decoded, bell_estimate, clicks, False,
+                          analyzer, n_cycles, master_seed, shot_index)
+    return RunOutcome(message, None, None, None, True, analyzer, n_cycles,
+                      master_seed, shot_index)
 
 
 def _estimate(analyzer: AnalyzerKind, n_cycles: int, shots: int,

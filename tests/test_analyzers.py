@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zenodense import analyzers
 from zenodense.analyzers import (
     ALL_BELL_STATES,
     AnalyzerKind,
@@ -104,6 +105,14 @@ class TestDqzAnalyze:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             analyze(AnalyzerKind.DQZ, BellState.PHI_PLUS, 4, m=2)
+
+    def test_pair_cache_stays_bounded_over_many_n(self):
+        cache = analyzers._dqz_pair_from_channel
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 50):
+            analyze(AnalyzerKind.DQZ, BellState.PSI_MINUS, n, m=1)
+        assert cache.cache_info().currsize <= maxsize
 
 
 class TestIfmAnalyze:

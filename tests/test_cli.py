@@ -593,7 +593,7 @@ def selftest_lines(fails):
 def bias_survival(monkeypatch):
     # Scaling p by 0.98 moves dqz's R at N = 12 by about 0.036, against a
     # 4 sigma of about 0.0076 at 1e5 shots. The self-test runs no per-shot
-    # shot, so `_shot_plan`'s cache stays clean.
+    # shot, so no biased threshold reaches `_shot_plan`'s cache.
     real = protocol._survival_threshold
     monkeypatch.setattr(protocol, "_survival_threshold", lambda p: real(p * 0.98))
 

@@ -1,6 +1,5 @@
 """Core state, operator and distribution primitives, and the per-shot streams."""
 
-import sys
 import threading
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zenodense import core
 from zenodense.core import (
     ALGEBRA_TOL,
     DRAWS_PER_SHOT,
@@ -19,7 +17,6 @@ from zenodense.core import (
     hadamard,
     shot_stream,
     shot_uniforms,
-    shot_words,
     unitarity_defect,
 )
 from zenodense.optics import beam_splitter
@@ -36,21 +33,6 @@ def fresh_blocks(seed, shot, tag, n_shots=1):
     """The raw words of shots [shot, shot + n_shots), from a generator of the test's own."""
     bits = shot_stream(seed, shot, tag).bit_generator
     return bits.random_raw(n_shots * DRAWS_PER_SHOT).reshape(n_shots, DRAWS_PER_SHOT)
-
-
-def block_words(seed, shot, tag):
-    """Words 0 and 1 of the shot's block, from a fresh generator."""
-    w0, w1 = fresh_blocks(seed, shot, tag)[0, :2].tolist()
-    return w0, w1
-
-
-@pytest.fixture
-def draw_sizes(monkeypatch):
-    """The block count of each `core._draw` call the test makes from here on."""
-    sizes = []
-    real = core._draw
-    monkeypatch.setattr(core, "_draw", lambda *args: sizes.append(args[3]) or real(*args))
-    return sizes
 
 
 def sample(dist, rng):
@@ -341,99 +323,73 @@ class TestShotStreams:
         with pytest.raises(ValueError, match="non-negative"):
             shot_uniforms(5, 0, -1)
 
-    @given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
-           shot=st.integers(0, 2**260), other=st.integers(0, 2**70))
-    @example(seed=0, tag=0, shot=0, other=0)
-    @example(seed=2**64 - 1, tag=2**64 - 1, shot=2**64, other=2**64 - 1)
-    @example(seed=1, tag=2, shot=2**256 - 1, other=1)
-    @example(seed=1, tag=2, shot=2**256, other=1)
-    @example(seed=1, tag=2, shot=(3 << 192) | (5 << 128) | (7 << 64) | 9, other=1)
-    def test_word_reader_equals_a_fresh_block(self, seed, tag, shot, other):
-        # Re-keying after another seed's shot must leave nothing of it behind,
-        # and the shot after must follow on from the re-keyed block.
-        shot_words(seed ^ 1, other, tag)
-        assert shot_words(seed, shot, tag) == block_words(seed, shot, tag)
-        assert shot_words(seed, shot + 1, tag) == block_words(seed, shot + 1, tag)
-
     def test_plain_streams_belong_to_the_caller(self):
         first = shot_stream(3, 5)
         assert shot_stream(3, 5) is not first
-        shot_words(3, 9)
-        shot_words(3, 10)
+        shot_uniforms(3, 9, 2)
         assert first.random() == shot_stream(3, 5).random()
 
-    @pytest.mark.parametrize("reader", [shot_stream, shot_words])
-    def test_range_errors_of_stream_and_word_reader(self, reader):
+    def test_range_errors_of_the_stream(self):
         for seed, shot, tag in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1),
                                 (0, 0, 2**64)):
             with pytest.raises(ValueError):
-                reader(seed, shot, tag)
+                shot_stream(seed, shot, tag)
 
     def test_a_rejected_call_leaves_the_walk_in_place(self):
-        shot_words(4, 10, 1)
+        shot_uniforms(4, 10, 1, 1)
         with pytest.raises(ValueError):
-            shot_words(2**64, 11, 1)
-        assert shot_words(4, 11, 1) == block_words(4, 11, 1)
+            shot_uniforms(2**64, 11, 1, 1)
+        assert np.array_equal(shot_uniforms(4, 11, 1, 1), fresh_blocks(4, 11, 1))
         # A draw too large to allocate fails after the generator was re-keyed.
         with pytest.raises(ValueError, match="too big"):
             shot_uniforms(5, 0, 2**60, 1)
-        assert shot_words(4, 12, 1) == block_words(4, 12, 1)
+        assert np.array_equal(shot_uniforms(4, 12, 1, 1), fresh_blocks(4, 12, 1))
 
     # Calls as (seed, tag, first shot, run length, step, width): runs of
     # consecutive calls forwards or backwards, repeats (step 0), across 2**64
     # and across the 2**256 wrap of the counter, with seeds and tags
-    # interleaved. Width None reads one shot with `shot_words`, a width n
-    # reads n shots with `shot_uniforms`; a forward run goes on from the
-    # shot after the last one read.
+    # interleaved. Each call reads `width` shots with `shot_uniforms`; a
+    # forward run goes on from the shot after the last one read.
     CALL_RUNS = st.lists(
         st.tuples(st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([0, 1, 2**64 - 1]),
                   st.one_of(st.integers(0, 40), st.integers(2**64 - 4, 2**64 + 4),
                             st.integers(2**256 - 4, 2**256 + 4)),
-                  st.integers(1, 6), st.sampled_from([1, -1, 0]),
-                  st.sampled_from([None, None, 0, 1, 3])),
+                  st.integers(1, 6), st.sampled_from([1, -1, 0]), st.sampled_from([0, 1, 3])),
         min_size=1, max_size=8)
 
     @staticmethod
     def calls_of(runs):
-        return [(seed, max(first + step * k * (1 if width is None else width), 0), tag, width)
+        return [(seed, max(first + step * k * width, 0), tag, width)
                 for seed, tag, first, length, step, width in runs for k in range(length)]
 
     @staticmethod
     def read(seed, shot, tag, width):
-        if width is None:
-            return shot_words(seed, shot, tag)
         return shot_uniforms(seed, shot, width, tag).tolist()
 
     @staticmethod
     def expected(seed, shot, tag, width):
-        if width is None:
-            return block_words(seed, shot, tag)
         return fresh_blocks(seed, shot, tag, width).tolist()
 
     @given(runs=CALL_RUNS)
     # The tag changes, the shots go on.
-    @example(runs=[(0, 0, 0, 3, 1, None), (0, 1, 3, 3, 1, None)])
-    @example(runs=[(0, 0, 0, 3, 1, 2), (0, 1, 6, 3, 1, None)])
+    @example(runs=[(0, 0, 0, 3, 1, 1), (0, 1, 3, 3, 1, 1)])
+    @example(runs=[(0, 0, 0, 3, 1, 2), (0, 1, 6, 3, 1, 1)])
     # The seed changes, the shots go on.
-    @example(runs=[(0, 0, 0, 3, 1, None), (1, 0, 3, 3, 1, None)])
-    @example(runs=[(0, 0, 5, 3, -1, None), (0, 0, 5, 2, 0, None)])  # backwards, then repeats
-    @example(runs=[(1, 1, 2**256 - 2, 4, 1, None)])                # across the counter wrap
+    @example(runs=[(0, 0, 0, 3, 1, 1), (1, 0, 3, 3, 1, 1)])
+    @example(runs=[(0, 0, 5, 3, -1, 1), (0, 0, 5, 2, 0, 1)])  # backwards, then repeats
+    @example(runs=[(1, 1, 2**256 - 2, 4, 1, 1)])              # across the counter wrap
     @example(runs=[(1, 1, 2**256 - 2, 2, 1, 3)])
-    @example(runs=[(1, 1, 2**64 - 2, 4, 1, None)])
     @example(runs=[(1, 1, 2**64 - 2, 4, 1, 1)])
-    # A block read leaves the walk at the shot after it, and reading none moves nothing.
-    @example(runs=[(2, 3, 9, 1, 1, None), (2, 3, 10, 1, 1, 3), (2, 3, 13, 1, 1, 0),
-                   (2, 3, 13, 2, 1, None)])
-    # Long enough walks to cross the edges of the blocks read ahead.
-    @example(runs=[(0, 1, 0, 140, 1, None), (0, 1, 100, 3, -1, None)])
-    @example(runs=[(1, 1, 2**256 - 70, 140, 1, None)])
+    # A read leaves the walk at the shot after it, and reading none moves nothing.
+    @example(runs=[(2, 3, 9, 1, 1, 1), (2, 3, 10, 1, 1, 3), (2, 3, 13, 1, 1, 0),
+                   (2, 3, 13, 2, 1, 1)])
     def test_any_call_sequence_reads_each_shots_own_block(self, runs):
         for call in self.calls_of(runs):
             assert self.read(*call) == self.expected(*call)
 
     @given(runs=CALL_RUNS, other=CALL_RUNS)
-    @example(runs=[(0, 0, 0, 6, 1, None)], other=[(0, 1, 0, 6, 1, None)])
-    @example(runs=[(0, 0, 0, 6, 1, 2)], other=[(0, 0, 1, 6, 1, None)])
+    @example(runs=[(0, 0, 0, 6, 1, 1)], other=[(0, 1, 0, 6, 1, 1)])
+    @example(runs=[(0, 0, 0, 6, 1, 2)], other=[(0, 0, 1, 6, 1, 1)])
     def test_two_threads_interleaved_each_read_their_own_blocks(self, runs, other):
         # The threads take turns call by call, each walking its own sequence.
         sequences = [self.calls_of(runs), self.calls_of(other)]
@@ -457,82 +413,6 @@ class TestShotStreams:
             assert not thread.is_alive()
         for me in (0, 1):
             assert read[me] == [self.expected(*call) for call in sequences[me]]
-
-    def test_in_order_walk_across_read_ahead_edges(self):
-        shot_words(9, 0, 3)  # a first read from elsewhere: the walk starts on a jump
-        expected = fresh_blocks(5, 0, 3, 200)[:, :2].tolist()
-        assert [list(shot_words(5, shot, 3)) for shot in range(200)] == expected
-
-    def test_jump_back_into_the_held_blocks(self, draw_sizes):
-        shot_words(9, 0, 3)
-        for shot in range(100):
-            shot_words(5, shot, 3)
-        assert draw_sizes == [1, 1, 64, 64]  # shots 0, 1..64 and 65..128: the last 64 are held
-        draw_sizes.clear()
-        for shot in (70, 65, 128, 99, 66):
-            assert shot_words(5, shot, 3) == block_words(5, shot, 3)
-        assert draw_sizes == []
-        assert shot_words(5, 64, 3) == block_words(5, 64, 3)
-        assert draw_sizes == [1]
-
-    def test_walk_across_the_counter_wrap(self):
-        start = 2**256 - 100
-        expected = fresh_blocks(7, start, 1, 200)[:, :2].tolist()
-        assert [list(shot_words(7, start + k, 1)) for k in range(200)] == expected
-        assert shot_words(7, 50, 1) == block_words(7, 50, 1)  # the same block as 2**256 + 50
-
-    def test_walk_interleaved_with_block_reads_of_the_same_stream(self):
-        # Block reads move the thread's Philox; the held words must stay right.
-        for shot in range(200):
-            assert shot_words(8, shot, 2) == block_words(8, shot, 2)
-            if shot % 7 == 0:
-                start = (shot * 37) % 300
-                assert np.array_equal(shot_uniforms(8, start, 5, 2), fresh_blocks(8, start, 2, 5))
-            if shot % 11 == 0:  # and one that leaves the Philox right after the held blocks
-                assert np.array_equal(shot_uniforms(8, shot + 1, 3, 2),
-                                      fresh_blocks(8, shot + 1, 2, 3))
-
-    def test_reads_out_of_order_draw_one_block_each(self, draw_sizes):
-        for shot in (*range(40, 0, -1), *range(100, 200, 2), 2**64, 5):
-            assert shot_words(6, shot, 4) == block_words(6, shot, 4)
-        assert draw_sizes == [1] * (40 + 50 + 2)
-        # In order, the walk reads ahead: one block, then 64 at a time.
-        draw_sizes.clear()
-        for shot in range(1000, 1200):
-            shot_words(6, shot, 4)
-        assert draw_sizes == [1, 64, 64, 64, 64]
-        # The shot after the held blocks, of another stream, is a jump too.
-        draw_sizes.clear()
-        assert shot_words(7, 1257, 4) == block_words(7, 1257, 4)
-        assert shot_words(7, 1258, 5) == block_words(7, 1258, 5)
-        assert draw_sizes == [1, 1]
-
-    def test_each_thread_reads_its_own_words(self):
-        # Four threads read in lockstep, switching often; each must still
-        # read its own shots.
-        tags = range(4)
-        barrier = threading.Barrier(len(tags), timeout=30)
-        drawn = {tag: [] for tag in tags}
-
-        def worker(tag):
-            for shot in range(200):
-                barrier.wait()
-                drawn[tag].append(shot_words(17, shot, tag))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(tag,)) for tag in tags]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        for tag in tags:
-            expected = shot_uniforms(17, 0, 200, stream_tag=tag)[:, :2]
-            assert drawn[tag] == [tuple(row) for row in expected.tolist()]
 
 
 class TestDensityMatrix:

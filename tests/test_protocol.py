@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -24,7 +25,7 @@ from zenodense.analyzers import (
     click_pair,
     survival_probability,
 )
-from zenodense.core import DRAWS_PER_SHOT
+from zenodense.core import DRAWS_PER_SHOT, shot_stream
 from zenodense.invariants import GOLDEN_DECODE
 from zenodense.metrics import r_analytic
 from zenodense.protocol import (
@@ -42,6 +43,27 @@ from zenodense.protocol import (
 )
 
 ALL_KINDS = (AnalyzerKind.DQZ, AnalyzerKind.IFM, AnalyzerKind.QZ)
+
+
+def reference_run(message, kind, n, seed, shot, m=0):
+    """The shot by `analyze`'s pick and `decode`, on words 0 and 1 of a fresh Philox block."""
+    w0, w1 = shot_stream(seed, shot).bit_generator.random_raw(2).tolist()
+    sent = MESSAGES[w0 >> 62] if message == "uniform" else message
+    outcome = analyze(kind, encode(sent), n, m).pick((w1 >> 11) * 2**-53)
+    if outcome.photon_lost:
+        return RunOutcome(sent, None, None, None, True, kind, n, seed, shot)
+    bell, decoded = decode(outcome.clicks, kind)
+    return RunOutcome(sent, decoded, bell, outcome.clicks, False, kind, n, seed, shot)
+
+
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """The shot count of each draw `run_protocol` makes from here on, from nothing held."""
+    sizes = []
+    real = protocol.shot_uniforms
+    monkeypatch.setattr(protocol, "shot_uniforms", lambda *args: sizes.append(args[2]) or real(*args))
+    monkeypatch.setattr(protocol, "_window", threading.local())
+    return sizes
 
 
 class TestEncode:
@@ -76,6 +98,14 @@ class TestEncode:
     def test_rejects_unknown_message(self):
         with pytest.raises(ValueError):
             encode("2")
+
+    def test_a_wrong_encoding_table_fails_the_check(self, monkeypatch):
+        swapped = {**protocol._MESSAGE_TO_BELL, "01": BellState.PSI_MINUS, "11": BellState.PSI_PLUS}
+        monkeypatch.setattr(protocol, "_MESSAGE_TO_BELL", swapped)
+        with pytest.raises(AssertionError, match="Pauli encoding of 01"):
+            protocol._verify_encoding_table()
+        monkeypatch.undo()
+        protocol._verify_encoding_table()
 
 
 class TestDecode:
@@ -202,9 +232,89 @@ class TestRunProtocol:
         for n in (1, 2, 3, 5, 12, 64):
             threshold = int(_survival_threshold(survival_probability(kind, encode("10"), n)))
             for k in {threshold - 1, min(threshold, 2**53 - 1)}:  # k is 53 bits
-                monkeypatch.setattr(protocol, "shot_words", lambda *args, k=k: (0, k << 11))
+                words = np.array([[0, k << 11, 0, 0]], dtype=np.uint64)
+                monkeypatch.setattr(protocol, "shot_uniforms", lambda *args, words=words: words)
+                monkeypatch.setattr(protocol, "_window", threading.local())  # nothing held
                 out = run_protocol("10", kind, n, master_seed=1, shot_index=0)
                 assert out.photon_lost == (k >= threshold)
+
+    def test_rejects_bad_arguments(self):
+        bad = [("2", AnalyzerKind.DQZ, 12, 0, 0), ("uniform", AnalyzerKind.DQZ, 12, -1, 0),
+               ("00", AnalyzerKind.DQZ, 0, 0, 0), ("uniform", AnalyzerKind.IFM, -3, 0, 0),
+               ("00", AnalyzerKind.QZ, 12, 0, -1), *[("00", kind, 12, 0, 2) for kind in ALL_KINDS]]
+        for message, kind, n, shot, m in bad:
+            with pytest.raises(ValueError):
+                run_protocol(message, kind, n, master_seed=1, shot_index=shot, m=m)
+
+    def test_an_in_order_walk_draws_one_shot_then_64_and_holds_them(self, draw_sizes):
+        walk = [run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=shot)
+                for shot in range(200)]
+        assert walk == [reference_run("10", AnalyzerKind.IFM, 12, 5, shot) for shot in range(200)]
+        assert draw_sizes == [1, 64, 64, 64, 64]  # shots 0, 1..64, ..., 193..256: the last held
+        draw_sizes.clear()
+        for message in ("uniform", *MESSAGES):  # the held shots serve every message
+            for shot in (200, 193, 256, 199):
+                assert (run_protocol(message, AnalyzerKind.IFM, 12, master_seed=5, shot_index=shot)
+                        == reference_run(message, AnalyzerKind.IFM, 12, 5, shot))
+        assert draw_sizes == []
+        run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=192)
+        assert draw_sizes == [1]
+
+    def test_any_other_jump_draws_one_shot(self, draw_sizes):
+        calls = [(6, shot, AnalyzerKind.QZ, 5, 0)
+                 for shot in (*range(40, 0, -1), *range(100, 200, 2), 2**64, 5)]
+        # Another seed or plan, at the held shot or the one after it, is a jump too.
+        calls += [(seed, 300 + k // 3, AnalyzerKind.QZ, 5, 0) for k, seed in enumerate([6, 7, 8] * 5)]
+        calls += [(8, 305, AnalyzerKind.QZ, 6, 0), (8, 306, AnalyzerKind.IFM, 6, 0),
+                  (8, 306, AnalyzerKind.IFM, 6, 1)]
+        for seed, shot, kind, n, m in calls:
+            assert (run_protocol("uniform", kind, n, master_seed=seed, shot_index=shot, m=m)
+                    == reference_run("uniform", kind, n, seed, shot, m))
+        assert draw_sizes == [1] * len(calls)
+
+    def test_a_walk_across_the_counter_wrap(self):
+        start = 2**256 - 100
+        for shot in range(start, start + 200):
+            assert (run_protocol("uniform", AnalyzerKind.DQZ, 2, master_seed=7, shot_index=shot)
+                    == reference_run("uniform", AnalyzerKind.DQZ, 2, 7, shot))
+        wrapped = run_protocol("uniform", AnalyzerKind.DQZ, 2, master_seed=7, shot_index=2**256 + 50)
+        assert wrapped[:-1] == run_protocol("uniform", AnalyzerKind.DQZ, 2, master_seed=7,
+                                            shot_index=50)[:-1]
+
+    def test_simulate_between_calls_leaves_the_held_shots_right(self):
+        # `simulate` moves the thread's Philox on the same seed and stream,
+        # at times to the shot right after the held ones.
+        for shot in range(200):
+            assert (run_protocol("uniform", AnalyzerKind.IFM, 12, master_seed=8, shot_index=shot)
+                    == reference_run("uniform", AnalyzerKind.IFM, 12, 8, shot))
+            if shot % 7 == 0:
+                simulate(AnalyzerKind.IFM, 12, shot + 1 + shot % 3, 8)
+
+    def test_two_interleaved_threads_each_decide_their_own_shots(self):
+        runs = {17: AnalyzerKind.DQZ, 18: AnalyzerKind.IFM}  # seed: analyzer
+        barrier = threading.Barrier(len(runs), timeout=30)
+        got = {seed: [] for seed in runs}
+
+        def worker(seed):
+            for shot in range(200):
+                barrier.wait()
+                got[seed].append(run_protocol("uniform", runs[seed], 12, master_seed=seed,
+                                              shot_index=shot))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in runs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, kind in runs.items():
+            assert got[seed] == [reference_run("uniform", kind, 12, seed, shot)
+                                 for shot in range(200)]
 
     # sha256 over every RunOutcome field of the grid below, recorded before
     # the runner read its words from a continuing per-thread stream.
