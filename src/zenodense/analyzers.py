@@ -34,7 +34,7 @@ from .bell import ALL_BELL_STATES, BellState
 from .core import OutcomeDistribution, PureState, hadamard
 from .ifm import AbsorberState, blocked_survival
 from .optics import CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
-from .zeno import cycle_survival, dqz_apply
+from .zeno import channel_survival, dqz_apply
 
 ELECTRON_DETECTORS = ("D1", "D2")
 PHOTON_DETECTORS = ("D3", "D4", "D5", "D6")
@@ -94,13 +94,8 @@ PHOTON_LOST = AnalyzerOutcome.lost()
 
 
 # ---------------------------------------------------------------------------
-# survival laws (closed forms over a cycle count or an array of them; the
-# element-level sims are the oracles)
-
-
-def _channel_stage(n_cycles):
-    """P^N with P = 1 - sin^2(theta_N)/2: N dual-Zeno channel cycles, any Bell input."""
-    return cycle_survival(n_cycles) ** n_cycles
+# survival laws over a cycle count or an array of them (the channel's P^N is
+# zeno.channel_survival, the weight dqz_apply carries; element sims are the oracles)
 
 
 def qz_ancilla_survival(n_cycles):
@@ -260,14 +255,14 @@ ANALYZERS = {
     # path measurement the sign. Surviving runs keep the block/pass balance,
     # so the photon stayed out of the channel with probability 1/2.
     AnalyzerKind.DQZ: AnalyzerSpec(
-        stage=_channel_stage, phi_factor=None, pair=_dqz_pair_from_channel,
+        stage=channel_survival, phi_factor=None, pair=_dqz_pair_from_channel,
         weight={"phi": 0.5, "psi": 0.5}, splitters_per_cycle=2, ancilla=False),
     # IFM chain: stage one freezes the Phi branches (cos^{2N} theta_N) and
     # walks the Psi photon to D3; stage two resolves the sign through the
     # electron Hadamard at the channel cost P^N. Phi branches never cross
     # into the electron's chain; Psi branches do.
     AnalyzerKind.IFM: AnalyzerSpec(
-        stage=_channel_stage, phi_factor=blocked_survival,
+        stage=channel_survival, phi_factor=blocked_survival,
         pair=lambda bell, n_cycles, m: _IFM_PAIRS[bell],
         weight={"phi": 1.0, "psi": 0.0}, splitters_per_cycle=4, ancilla=False),
     # Single QZ: an ancillary H photon cycles through the gate with both
@@ -333,7 +328,7 @@ def semi_counterfactual_stats(source: BellState | AbsorberState, n_cycles: int =
     with certainty (given survival); a classical passing object sends it
     to-and-fro on every run.
     """
-    if n_cycles < 1:
+    if not n_cycles >= 1:  # NaN fails too
         raise ValueError("n_cycles must be >= 1")
     if isinstance(source, BellState):
         return 0.5

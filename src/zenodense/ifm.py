@@ -137,7 +137,7 @@ def ifm_joint_amplitudes(n_cycles: int, absorber: AbsorberState) -> tuple[np.nda
 
 def ifm_detect(n_cycles: int, absorber: AbsorberState) -> OutcomeDistribution:
     """Where the photon ends up after the full chain: path a, path b, or absorbed."""
-    if n_cycles < 1:
+    if not n_cycles >= 1:  # NaN fails too
         raise ValueError("n_cycles must be >= 1")
     amps, lost = ifm_joint_amplitudes(n_cycles, absorber)
     p_a = abs(amps[0]) ** 2 + abs(amps[2]) ** 2

@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from . import metrics, protocol
+from . import metrics, protocol, zeno
 from .analyzers import (
     ALL_BELL_STATES,
     AnalyzerKind,
@@ -22,7 +22,6 @@ from .analyzers import (
 )
 from .core import ACCUMULATION_TOL, ALGEBRA_TOL, unitarity_defect
 from .optics import beam_splitter, pbs_route, polarization_rotator
-from .zeno import dqz_cycle_channel, post_gate_target
 
 MC_SIGMAS = 4  # a Monte-Carlo R passes within this many standard errors of the closed form
 _VARIANCE_FLOOR = 1e-12  # keeps the standard error positive where R(2 - R) is 0
@@ -43,11 +42,11 @@ GOLDEN_THRESHOLDS = {AnalyzerKind.QZ: (71, 71, True), AnalyzerKind.IFM: (24, 96,
 def cycle_channels(cycles: Iterable[int] = (1, 2, 3, 7, 12, 24, 64),
                    inject_fault: str | None = None) -> tuple[dict, tuple]:
     """Each dual-Zeno cycle operator K, as a dict keyed (branch, N), and for each Bell
-    input (Bell state, Ns, states): the conditional states K^N rho K^N^T under each
-    N-cycle power of its branch's K, stacked in the order of Ns. Every returned array
-    is read-only, so the checks that share one build cannot change what the next reads.
+    input (Bell state, Ns, states): zeno.conditional_states, the product dqz_apply runs,
+    under each N-cycle power of its branch's K, stacked in the order of Ns. Every returned
+    array is read-only, so the checks that share one build cannot change what the next reads.
     inject_fault="k-sign" first flips one sign of every K, which each channel check must catch."""
-    operators = {(branch, n): np.array(dqz_cycle_channel(branch, n).operator)
+    operators = {(branch, n): np.array(zeno.dqz_cycle_channel(branch, n).operator)
                  for branch in (0, 1) for n in cycles}
     if inject_fault == "k-sign":
         for k in operators.values():
@@ -59,10 +58,7 @@ def cycle_channels(cycles: Iterable[int] = (1, 2, 3, 7, 12, 24, 64),
               for branch in (0, 1)}
     conditionals = []
     for bell in ALL_BELL_STATES:
-        amps = bell.ket().amplitudes
-        kn = powers[bell.branch_index]
-        # One stacked product; each state equals its own product bit for bit.
-        states = kn @ np.outer(amps, amps.conj()) @ kn.swapaxes(-1, -2)
+        states = zeno.conditional_states(bell, powers[bell.branch_index])
         states.setflags(write=False)
         conditionals.append((bell, ns, states))
     return operators, tuple(conditionals)
@@ -102,7 +98,7 @@ def check_channel_trace(conditionals) -> str | None:
 
 def check_bell_targets(conditionals) -> str | None:
     for bell, ns, states in conditionals:
-        target = post_gate_target(bell).amplitudes
+        target = zeno.post_gate_target(bell).amplitudes
         overlaps = np.real(target.conj() @ states @ target).tolist()
         for n, trace, overlap in zip(ns, _traces(states), overlaps):
             if trace <= 0:

@@ -117,6 +117,6 @@ def min_n_for_target(analyzer: AnalyzerKind, target_r: float) -> int:
 def resource_counts(analyzer: AnalyzerKind, n_cycles: int) -> tuple[int, bool]:
     """(beam splitters required, needs an ancillary particle) at N cycles."""
     spec = ANALYZERS[AnalyzerKind(analyzer)]
-    if n_cycles < 1:
+    if not n_cycles >= 1:  # NaN fails too
         raise ValueError("n_cycles must be >= 1")
     return spec.splitters_per_cycle * n_cycles, spec.ancilla

@@ -28,7 +28,7 @@ class CycleAngle:
     n_cycles: int
 
     def __post_init__(self):
-        if self.n_cycles < 1:
+        if not self.n_cycles >= 1:  # NaN fails too
             raise ValueError("n_cycles must be a positive integer")
 
     @property
@@ -45,7 +45,7 @@ class CycleAngle:
 def cycle_counts(n_cycles) -> np.ndarray:
     """A cycle count, or an array of them, as floats for the vectorized closed forms."""
     n = np.asarray(n_cycles, dtype=float)
-    if n.min() < 1:
+    if not n.min() >= 1:  # NaN fails too
         raise ValueError("cycle counts must be >= 1")
     return n
 

@@ -5,7 +5,9 @@ Two models of the dual-Zeno (DQZ) gate live here side by side:
 * The cycle-channel model: per cycle, an orthogonal 4x4 operator rotates the
   pass components by theta_N while a state-independent survival probability
   P = 1 - sin^2(theta_N)/2 accounts for absorption. This is the production
-  path; every closed-form throughput in `metrics` follows from it.
+  path: `dqz_apply`, the analyzer table and the self-test read its one K^N rho
+  K^N^T, `conditional_states`, and its one P^N, `channel_survival`, from which
+  every closed-form throughput in `metrics` follows.
 
 * The element-level model: the per-cycle element map raised to the N-th
   power, where one cycle is the polarization rotators and PBS routing
@@ -47,6 +49,13 @@ def cycle_survival(n_cycles):
     """
     n = cycle_counts(n_cycles)
     return 1.0 - 0.5 * np.sin(np.pi / (2.0 * n)) ** 2
+
+
+def channel_survival(n_cycles):
+    """P^N, the weight N channel cycles keep for every Bell input, over a cycle count or
+    an array of them: numpy's power runs for both, so each element equals its N's alone."""
+    n = np.asarray(n_cycles, dtype=float)
+    return cycle_survival(n) ** n
 
 
 @dataclass(frozen=True)
@@ -111,19 +120,18 @@ class DqzOutcome:
             raise ValueError("surviving and lost weights must sum to 1")
 
 
+def conditional_states(bell: BellState, kn: np.ndarray) -> np.ndarray:
+    """K^N rho K^N^T for a Bell input rho, under one N-cycle operator or a stack of them."""
+    amps = bell.ket().amplitudes
+    return kn @ np.outer(amps, amps.conj()) @ kn.swapaxes(-1, -2)
+
+
 def dqz_apply(bell: BellState, n_cycles: int) -> DqzOutcome:
     """Apply the N-cycle channel to a Bell input."""
-    channel = dqz_cycle_channel(bell.branch_index, n_cycles)
-    kn = channel.n_cycle_operator()
-    amps = bell.ket().amplitudes
-    rho = np.outer(amps, amps.conj())
-    conditional = kn @ rho @ kn.T
-    weight = channel.survival_p ** n_cycles
-    return DqzOutcome(
-        surviving=DensityMatrix(COMPOSITE_LABELS, conditional),
-        surviving_weight=float(weight),
-        lost_weight=float(1.0 - weight),
-    )
+    kn = dqz_cycle_channel(bell.branch_index, n_cycles).n_cycle_operator()
+    weight = float(channel_survival(n_cycles))
+    return DqzOutcome(DensityMatrix(COMPOSITE_LABELS, conditional_states(bell, kn)),
+                      surviving_weight=weight, lost_weight=1.0 - weight)
 
 
 def post_gate_target(bell: BellState) -> PureState:
@@ -164,7 +172,7 @@ def _gate_cycle(axis: str, n_cycles: int | None) -> tuple[np.ndarray, int]:
         cycle = np.eye(4)
         cycle[2:, 2:] = [[0.0, -1.0], [1.0, 0.0]]
         return cycle, 1
-    if n_cycles < 1:
+    if not n_cycles >= 1:  # NaN fails too
         raise ValueError("n_cycles must be >= 1 (or None for the asymptotic gate)")
     return np.kron(np.eye(2), _rotator_pair(axis, CycleAngle(n_cycles).theta)), n_cycles
 
@@ -246,7 +254,4 @@ def dqz_element_sim(joint: PureState, n_cycles: int | None) -> tuple[PureState, 
 
 def dqz_element_survival(bell: BellState, n_cycles: int) -> float:
     """Element-level Bell survival (1 + cos^{2N} theta_N)/2, computed by simulation."""
-    out, lost = dqz_element_sim(bell.ket(), n_cycles)
-    survival = out.norm_squared()
-    assert abs(survival + lost - 1.0) < 1e-10
-    return survival
+    return dqz_element_sim(bell.ket(), n_cycles)[0].norm_squared()

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenodense import cli, invariants, metrics, protocol
+from zenodense import cli, invariants, metrics, protocol, zeno
 from zenodense.analyzers import AnalyzerKind, BellState, DetectorPair
 from zenodense.cli import main
 
@@ -617,6 +617,15 @@ def swap_phi_pairs(monkeypatch):
                         lambda kind, bell, m=0: real(kind, swap.get(bell, bell), m))
 
 
+def transpose_channel_product(monkeypatch):
+    # K^N^T rho K^N. The self-test reads the product dqz_apply runs, so the
+    # patch must change dqz_apply's state too.
+    real = zeno.conditional_states
+    before = zeno.dqz_apply(BellState.PHI_PLUS, 1).surviving.matrix
+    monkeypatch.setattr(zeno, "conditional_states", lambda bell, kn: real(bell, kn.swapaxes(-1, -2)))
+    assert not np.array_equal(zeno.dqz_apply(BellState.PHI_PLUS, 1).surviving.matrix, before)
+
+
 class TestSelftest:
     def test_passes_on_fresh_build_within_budget(self, capsys):
         import time
@@ -649,7 +658,10 @@ class TestSelftest:
             "decode-roundtrip": "dqz m=0: 00 -> D2*D3 -> 10"}),
         (shift_min_n, {"golden-thresholds": "qz: got N=72, resources=(72, True)"}),
         (swap_phi_pairs, {"decode-roundtrip": "dqz m=0: 00 -> D1*D3 -> 10"}),
-    ], ids=["k-sign", "analytic-vs-mc", "decode-table", "thresholds", "click-pairs"])
+        (transpose_channel_product, {
+            "bell-target-fidelity": "Phi+ N=1: target fidelity 5.9779208748351e-34"}),
+    ], ids=["k-sign", "analytic-vs-mc", "decode-table", "thresholds", "click-pairs",
+            "channel-product"])
     def test_fault_injection_names_the_broken_invariants(self, capsys, monkeypatch, fault, fails):
         code, out, err = run_cli(capsys, "selftest", *(fault(monkeypatch) or ()))
         assert code == 1

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zenodense import analyzers, ifm, zeno
+from zenodense import analyzers, ifm, metrics, protocol, zeno
+from zenodense.analyzers import AnalyzerKind
 from zenodense.bell import BellState
 from zenodense.core import unitarity_defect, PureState
 from zenodense.ifm import AbsorberState
 from zenodense.optics import (
+    POLARIZATION_LABELS,
     CycleAngle,
     absorbing_cycles,
     beam_splitter,
+    cycle_counts,
     pbs_route,
     polarization_rotator,
     rotator_pbs_arm_matrix,
@@ -31,6 +34,45 @@ class TestCycleAngle:
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
             CycleAngle(0)
+
+
+_PHI, _DQZ, _BLOCK = BellState.PHI_PLUS, AnalyzerKind.DQZ, AbsorberState.blocking()
+_H = PureState.basis(POLARIZATION_LABELS, "H")
+
+
+# Each public entry point that takes a cycle count, by name.
+_CYCLE_COUNT_CALLS = {
+    "CycleAngle": CycleAngle, "cycle_counts": cycle_counts,
+    "cycle_survival": zeno.cycle_survival, "channel_survival": zeno.channel_survival,
+    "dqz_cycle_channel": lambda n: zeno.dqz_cycle_channel(0, n),
+    "dqz_apply": lambda n: zeno.dqz_apply(_PHI, n),
+    "qz_gate": lambda n: zeno.qz_gate("H", n, _BLOCK, _H),
+    "dqz_element_sim": lambda n: zeno.dqz_element_sim(_PHI.ket(), n),
+    "dqz_element_survival": lambda n: zeno.dqz_element_survival(_PHI, n),
+    "blocked_survival": ifm.blocked_survival, "blocked_survival_sim": ifm.blocked_survival_sim,
+    "ifm_evolve": lambda n: ifm.ifm_evolve(n, 1, True),
+    "ifm_joint_amplitudes": lambda n: ifm.ifm_joint_amplitudes(n, _BLOCK),
+    "ifm_detect": lambda n: ifm.ifm_detect(n, _BLOCK),
+    "qz_ancilla_survival": analyzers.qz_ancilla_survival,
+    "ifm_family_survival": lambda n: analyzers.ifm_family_survival(_PHI, n),
+    "ifm_stage1_evolve": lambda n: analyzers.ifm_stage1_evolve(_PHI, n),
+    "survival_law": lambda n: analyzers.survival_law(AnalyzerKind.IFM, _PHI, n),
+    "survival_probability": lambda n: analyzers.survival_probability(_DQZ, _PHI, n),
+    "analyze": lambda n: analyzers.analyze(_DQZ, _PHI, n),
+    "semi_counterfactual_stats": lambda n: analyzers.semi_counterfactual_stats(_PHI, n),
+    "p_survival": lambda n: metrics.p_survival(_DQZ, n),
+    "r_analytic": lambda n: metrics.r_analytic(_DQZ, n),
+    "resource_counts": lambda n: metrics.resource_counts(_DQZ, n),
+    "efficiency_curve": lambda n: metrics.efficiency_curve(_DQZ, n, 5),
+    "simulate": lambda n: protocol.simulate(_DQZ, n, 10, 1),
+    "run_protocol": lambda n: protocol.run_protocol("00", _DQZ, n, master_seed=1),
+}
+
+
+@pytest.mark.parametrize("name", _CYCLE_COUNT_CALLS)
+def test_a_nan_cycle_count_is_rejected(name):
+    with pytest.raises(ValueError):
+        _CYCLE_COUNT_CALLS[name](float("nan"))
 
 
 class TestBeamSplitter:
