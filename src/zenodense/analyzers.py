@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ALL_BELL_STATES, BellState
-from .core import OutcomeDistribution, PureState, hadamard
+from .core import ACCUMULATION_TOL, OutcomeDistribution, PureState, hadamard
 from .ifm import AbsorberState, blocked_survival
 from .optics import CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
 from .zeno import channel_survival, dqz_apply
@@ -128,10 +128,10 @@ _HADAMARD_ON_ELECTRON = np.kron(hadamard().matrix, np.eye(2))
 _PHOTON_DETECTOR = {("V", 0): "D3", ("V", 1): "D6", ("H", 0): "D4", ("H", 1): "D5"}
 
 
-@functools.lru_cache(maxsize=1024)  # `analyze` asks at every N: bounded like its neighbours
-def _dqz_pair_from_channel(bell: BellState, n_cycles: int, m: int) -> DetectorPair:
-    """Derive the click pair by actually measuring the channel output."""
-    conditional = dqz_apply(bell, n_cycles).surviving.matrix
+@functools.lru_cache(maxsize=None)  # eight entries at most: four Bell states by two m
+def _dqz_pair_from_channel(bell: BellState, m: int) -> DetectorPair:
+    """Derive the click pair by actually measuring the channel output, once, at N = 2."""
+    conditional = dqz_apply(bell, 2).surviving.matrix
     if m == 0:
         # The cycle operator realizes the path-y electron sign; path x flips
         # the pass amplitude.
@@ -140,7 +140,7 @@ def _dqz_pair_from_channel(bell: BellState, n_cycles: int, m: int) -> DetectorPa
     after = h @ conditional @ h.conj().T
     probs = np.real(np.diag(after))
     top = int(np.argmax(probs))
-    if probs[top] < 1.0 - 1e-9:
+    if probs[top] < 1.0 - ACCUMULATION_TOL:
         raise AssertionError(f"analyzer conditional correctness violated: {probs}")
     # Slots: (block,H), (block,V), (pass,H), (pass,V); block path = L = D2.
     electron = "D2" if top < 2 else "D1"
@@ -231,20 +231,29 @@ _QZ_PAIRS = {
 # the analyzer table
 
 
+def _ifm_phi_survival(n_cycles):
+    """Phi inputs of the IFM analyzer: frozen in stage one, then the channel's P^N."""
+    return blocked_survival(n_cycles) * channel_survival(n_cycles)
+
+
+def _ifm_mixture_survival(n_cycles):
+    """The uniform Bell mixture through the IFM analyzer: half of it is Phi."""
+    return 0.5 * (blocked_survival(n_cycles) + 1.0) * channel_survival(n_cycles)
+
+
 @dataclass(frozen=True)
 class AnalyzerSpec:
     """Everything that tells one analyzer from the others.
 
-    `stage` is the family-independent survival law over N (a cycle count or
-    an array of them) and `phi_factor`, when present, the extra survival of
-    Phi-family inputs. `pair(bell, n_cycles, m)` is the click pair of a
-    surviving run, `weight` the counterfactual weight of a surviving run per
-    Bell family, and `splitters_per_cycle` and `ancilla` the hardware cost.
+    `survival` maps each Bell family, and None for the uniform Bell mixture,
+    to its survival law over N (a cycle count or an array of them). `pair(bell,
+    m)` is the click pair of a surviving run, the same at every N, `weight`
+    the counterfactual weight of a surviving run per Bell family, and
+    `splitters_per_cycle` and `ancilla` the hardware cost.
     """
 
-    stage: Callable
-    phi_factor: Callable | None
-    pair: Callable[[BellState, int, int], DetectorPair]
+    survival: Mapping[str | None, Callable]
+    pair: Callable[[BellState, int], DetectorPair]
     weight: Mapping[str, float]
     splitters_per_cycle: int
     ancilla: bool
@@ -255,15 +264,17 @@ ANALYZERS = {
     # path measurement the sign. Surviving runs keep the block/pass balance,
     # so the photon stayed out of the channel with probability 1/2.
     AnalyzerKind.DQZ: AnalyzerSpec(
-        stage=channel_survival, phi_factor=None, pair=_dqz_pair_from_channel,
+        survival=dict.fromkeys(("phi", "psi", None), channel_survival),
+        pair=_dqz_pair_from_channel,
         weight={"phi": 0.5, "psi": 0.5}, splitters_per_cycle=2, ancilla=False),
     # IFM chain: stage one freezes the Phi branches (cos^{2N} theta_N) and
     # walks the Psi photon to D3; stage two resolves the sign through the
     # electron Hadamard at the channel cost P^N. Phi branches never cross
     # into the electron's chain; Psi branches do.
     AnalyzerKind.IFM: AnalyzerSpec(
-        stage=channel_survival, phi_factor=blocked_survival,
-        pair=lambda bell, n_cycles, m: _IFM_PAIRS[bell],
+        survival={"phi": _ifm_phi_survival, "psi": channel_survival,
+                  None: _ifm_mixture_survival},
+        pair=lambda bell, m: _IFM_PAIRS[bell],
         weight={"phi": 1.0, "psi": 0.0}, splitters_per_cycle=4, ancilla=False),
     # Single QZ: an ancillary H photon cycles through the gate with both
     # entangled particles as absorbers. If it survives all N cycles the four
@@ -271,21 +282,18 @@ ANALYZERS = {
     # collapses to the non-orthogonal qz_collapsed_state results and the run
     # is lost. The gate blocks in three of the four equal-weight branches.
     AnalyzerKind.QZ: AnalyzerSpec(
-        stage=qz_ancilla_survival, phi_factor=None,
-        pair=lambda bell, n_cycles, m: _QZ_PAIRS[bell],
+        survival=dict.fromkeys(("phi", "psi", None), qz_ancilla_survival),
+        pair=lambda bell, m: _QZ_PAIRS[bell],
         weight={"phi": 0.75, "psi": 0.75}, splitters_per_cycle=1, ancilla=True),
 }
 
 
-def survival_law(kind: AnalyzerKind, bell: BellState, n_cycles) -> np.ndarray:
-    """Survival probability per Bell input over a cycle count or an array of them;
-    each element equals, bit for bit, the value of its cycle count alone."""
-    spec = ANALYZERS[AnalyzerKind(kind)]
-    n = np.asarray(n_cycles, dtype=float)
-    p = spec.stage(n)
-    if spec.phi_factor is not None and bell.family == "phi":
-        p = spec.phi_factor(n) * p
-    return p
+def survival_law(kind: AnalyzerKind, bell: BellState | None, n_cycles) -> np.ndarray:
+    """Survival probability of a Bell input, or of the uniform Bell mixture for None,
+    over a cycle count or an array of them: the table's law for its family, called.
+    Each element equals, bit for bit, the value of its cycle count alone."""
+    spec = ANALYZERS[kind if isinstance(kind, AnalyzerKind) else AnalyzerKind(kind)]
+    return spec.survival[None if bell is None else bell.family](np.asarray(n_cycles, dtype=float))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -303,21 +311,21 @@ def analyze(kind: AnalyzerKind, bell: BellState, n_cycles: int, m: int = 0) -> O
     The surviving click is listed first (samplers rely on the order).
     Cached like survival_probability; the distribution is immutable.
     """
-    if m not in (0, 1):
-        raise ValueError("m must be 0 or 1")
-    spec = ANALYZERS[AnalyzerKind(kind)]
+    pair = click_pair(kind, bell, m)
     p = survival_probability(kind, bell, n_cycles)
-    detected = AnalyzerOutcome.detected(spec.pair(bell, n_cycles, m), spec.weight[bell.family])
+    detected = AnalyzerOutcome.detected(pair, ANALYZERS[AnalyzerKind(kind)].weight[bell.family])
     return OutcomeDistribution([(detected, p), (PHOTON_LOST, 1.0 - p)])
 
 
 def click_pair(kind: AnalyzerKind, bell: BellState, m: int = 0) -> DetectorPair:
-    """The deterministic click pair a surviving run produces.
+    """The deterministic click pair a surviving run produces, for path parameter m (0 or 1).
 
-    The dual-Zeno N-cycle operator is an exact quarter turn for every N, so
-    every pair is N-independent; any N gives the same measurement.
+    Every pair is N-independent: the dual-Zeno N-cycle operator is an exact
+    quarter turn for every N, so its pair is measured once, at N = 2.
     """
-    return ANALYZERS[AnalyzerKind(kind)].pair(bell, 2, m)
+    if m not in (0, 1):
+        raise ValueError("m must be 0 or 1")
+    return ANALYZERS[AnalyzerKind(kind)].pair(bell, m)
 
 
 def semi_counterfactual_stats(source: BellState | AbsorberState, n_cycles: int = 1) -> float:

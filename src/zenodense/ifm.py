@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import OutcomeDistribution, PureState
+from .core import ALGEBRA_TOL, OutcomeDistribution, PureState
 from .optics import PATH_LABELS, CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
 
 PHOTON_IN_A, PHOTON_IN_B, ABSORBED = "photon_in_a", "photon_in_b", "absorbed"
@@ -37,7 +37,7 @@ class AbsorberState:
         if not (np.isfinite(lam) and np.isfinite(mu)):
             raise ValueError("absorber amplitudes must be finite")
         norm = abs(lam) ** 2 + abs(mu) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > ALGEBRA_TOL:
             raise ValueError(f"absorber state not normalized: |lam|^2+|mu|^2 = {norm!r}")
         if is_classical and not (lam == 0 or mu == 0):
             raise ValueError("a classical absorber is either pass or block")

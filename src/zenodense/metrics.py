@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzers import ANALYZERS, AnalyzerKind
+from .analyzers import ANALYZERS, AnalyzerKind, survival_law
 
 # Best laboratory throughput to date (hyperentanglement-assisted analysis),
 # used purely as a numeric benchmark threshold.
@@ -28,29 +28,19 @@ EXPERIMENTAL_BENCHMARK_R = 1.665
 MAX_CURVE_CYCLES = 10**6
 
 
-def _survival_array(analyzer: AnalyzerKind, n_cycles) -> np.ndarray:
-    # Uniform Bell mixture: the Phi-family factor applies to half the inputs.
-    spec = ANALYZERS[analyzer]
-    n = np.asarray(n_cycles, dtype=float)
-    stage = spec.stage(n)
-    if spec.phi_factor is None:
-        return stage
-    return 0.5 * (spec.phi_factor(n) + 1.0) * stage
-
-
 def _r_array(analyzer: AnalyzerKind, n_cycles) -> np.ndarray:
-    return 2.0 * _survival_array(analyzer, n_cycles)
+    return 2.0 * survival_law(analyzer, None, n_cycles)
 
 
 def p_survival(analyzer: AnalyzerKind, n_cycles: int) -> float:
     """Probability that a run delivers clicks, averaged over a uniform
     Bell mixture (the IFM value is the two-family average)."""
-    return float(_survival_array(AnalyzerKind(analyzer), n_cycles))
+    return float(survival_law(analyzer, None, n_cycles))
 
 
 def r_analytic(analyzer: AnalyzerKind, n_cycles: int) -> float:
     """Closed-form throughput efficiency in bits per qubit."""
-    return float(_r_array(AnalyzerKind(analyzer), n_cycles))
+    return float(_r_array(analyzer, n_cycles))
 
 
 @dataclass(frozen=True)

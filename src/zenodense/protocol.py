@@ -10,12 +10,12 @@ Monte-Carlo determinism: shot i consumes words w0 (message selection,
 burned even when the message is fixed) and w1 (outcome draw) of its own
 counter-based stream, and keeps its photon when w1's top 53 bits fall below
 the integer threshold ceil(p * 2**53). Both runners take their thresholds
-from `_tally_plans` and read the words by one rule (`_message_index`,
-`_survival_score`): `run_rows` (many rows of a sweep at once, packed into
-work units of up to 2**16 shots, consecutive rows on one stream drawing
-its words once) and `simulate` (its one-row case) count survivors over
-whole arrays of shots, and `run_protocol` looks its shot up among those
-it decided with its last draw, 64 at a time on in-order walks.
+from `_tally_plans` and read the words by one rule (`_scores`): `run_rows`
+(many rows of a sweep at once, packed into work units of up to 2**16 shots,
+consecutive rows on one stream drawing its words once) and `simulate` (its
+one-row case) count survivors over whole arrays of shots, and `run_protocol`
+looks its shot up among those it decided with its last draw, 64 at a time on
+in-order walks.
 
 Both result records, `RunOutcome` and `EfficiencyEstimate`, are immutable named
 tuples whose every constructor (`_make` and `_replace` too) checks their fields:
@@ -49,7 +49,7 @@ from .analyzers import (
 # bench/layers.py wraps analyze, shot_stream and survival_probability on this
 # module, though protocol calls none of them; they can go once its traced run no
 # longer does (ROADMAP item 1).
-from .core import shot_stream, shot_uniforms  # noqa: F401
+from .core import ALGEBRA_TOL, shot_stream, shot_uniforms  # noqa: F401
 
 MESSAGES = ("00", "01", "10", "11")
 _MESSAGE_INDEX = {message: index for index, message in enumerate(MESSAGES)}
@@ -77,7 +77,7 @@ def _verify_encoding_table() -> None:
     for message, bell in _MESSAGE_TO_BELL.items():
         produced = np.kron(_PAULI[message], np.eye(2)) @ phi_plus
         overlap = abs(np.vdot(bell.ket().amplitudes, produced))
-        if abs(overlap - 1.0) > 1e-12:
+        if abs(overlap - 1.0) > ALGEBRA_TOL:
             raise AssertionError(f"Pauli encoding of {message} does not reach {bell}")
 
 
@@ -237,12 +237,12 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
     plans = {}  # per analyzer, its rows' plans in row order
     for kind in {row[0] for row in batch}:
         n = np.array([row[1] for row in batch if row[0] is kind], dtype=float)
-        # A law differs by Bell family only through a phi factor: one evaluation per law sent.
-        split = ANALYZERS[kind].phi_factor is not None
-        laws = {bell.family if split else None: bell for bell in bells}
-        laws = {key: _survival_threshold(survival_law(kind, bell, n)) for key, bell in laws.items()}
+        # One evaluation per distinct law the table gives the families sent.
+        table = ANALYZERS[kind].survival
+        laws = {table[bell.family]: bell for bell in bells}
+        laws = {law: _survival_threshold(survival_law(kind, bell, n)) for law, bell in laws.items()}
         limits = (laws.popitem()[1] if len(laws) == 1
-                  else np.stack([laws[bell.family] for bell in bells], axis=1))
+                  else np.stack([laws[table[bell.family]] for bell in bells], axis=1))
         plans[kind] = iter(limits)
     return [next(plans[row[0]]) for row in batch]
 
@@ -284,8 +284,6 @@ def _shot_plan(analyzer: AnalyzerKind, n_cycles: int, m: int):
     """(thresholds, records) of the shots of one (analyzer, N, m): each message's
     survival threshold as `_tally_plans` gives it to `run_rows`, and each message's
     (message, decoded message, Bell estimate, clicks) should its photon survive."""
-    if m not in (0, 1):
-        raise ValueError("m must be 0 or 1")
     (limit,) = _tally_plans([(analyzer, n_cycles, 0)], None)
     records = []
     for message in MESSAGES:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import COMPOSITE_LABELS, BellState
-from .core import ALGEBRA_TOL, DensityMatrix, OutcomeDistribution, PureState, unitarity_defect
+from .core import (ACCUMULATION_TOL, ALGEBRA_TOL, DensityMatrix, OutcomeDistribution, PureState,
+                   unitarity_defect)
 from .ifm import AbsorberState
 from .optics import (
     POLARIZATION_LABELS,
@@ -116,7 +117,7 @@ class DqzOutcome:
     lost_weight: float
 
     def __post_init__(self):
-        if abs(self.surviving_weight + self.lost_weight - 1.0) > 1e-10:
+        if abs(self.surviving_weight + self.lost_weight - 1.0) > ACCUMULATION_TOL:
             raise ValueError("surviving and lost weights must sum to 1")
 
 

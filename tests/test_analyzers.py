@@ -23,6 +23,7 @@ from zenodense.analyzers import (
     qz_collapsed_state,
     qz_is_degenerate,
     semi_counterfactual_stats,
+    survival_law,
     survival_probability,
 )
 from zenodense.ifm import AbsorberState
@@ -106,13 +107,25 @@ class TestDqzAnalyze:
         with pytest.raises(ValueError):
             analyze(AnalyzerKind.DQZ, BellState.PHI_PLUS, 4, m=2)
 
-    def test_pair_cache_stays_bounded_over_many_n(self):
-        cache = analyzers._dqz_pair_from_channel
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None
-        for n in range(1, maxsize + 50):
-            analyze(AnalyzerKind.DQZ, BellState.PSI_MINUS, n, m=1)
-        assert cache.cache_info().currsize <= maxsize
+    def test_analyze_derives_no_pair_per_n(self, monkeypatch):
+        # The eight pairs are measured once; analyze at any N only looks them up.
+        for bell in ALL_BELL_STATES:
+            for m in (0, 1):
+                click_pair(AnalyzerKind.DQZ, bell, m)
+        calls = []
+        monkeypatch.setattr(analyzers, "dqz_apply", lambda *args: calls.append(args))
+        for n in range(1, 1101):
+            for m in (0, 1):
+                analyze(AnalyzerKind.DQZ, BellState.PSI_MINUS, n, m=m)
+        assert calls == []
+        assert analyzers._dqz_pair_from_channel.cache_info().currsize <= 8
+
+
+@pytest.mark.parametrize("m", [2, -1])
+@pytest.mark.parametrize("kind", list(AnalyzerKind))
+def test_click_pair_rejects_an_m_other_than_zero_or_one(kind, m):
+    with pytest.raises(ValueError, match="m must be 0 or 1"):
+        click_pair(kind, BellState.PHI_PLUS, m)
 
 
 class TestIfmAnalyze:
@@ -145,13 +158,18 @@ class TestIfmAnalyze:
             assert outcome.clicks.photon == expected
 
     def test_uniform_mixture_survival_matches_closed_form(self):
+        # Every analyzer's mixture law: the mean of its four Bell laws, and for an
+        # array of cycle counts, each element the value of its count alone.
         for n in (2, 7, 24, 64):
-            mean = np.mean([
-                1.0 - analyze(AnalyzerKind.IFM, bell, n).probability(PHOTON_LOST)
-                for bell in ALL_BELL_STATES
-            ])
             p_avg = 0.5 * (np.cos(np.pi / (2 * n)) ** (2 * n) + 1.0)
-            assert mean == pytest.approx(p_avg * cycle_survival(n) ** n, abs=1e-12)
+            assert survival_law(AnalyzerKind.IFM, None, n) == pytest.approx(
+                p_avg * cycle_survival(n) ** n, abs=1e-12)
+        grid = np.unique(np.geomspace(1, 10**6, 120).round().astype(np.int64))
+        for kind in AnalyzerKind:
+            mixture = survival_law(kind, None, grid)
+            mean = np.mean([survival_law(kind, bell, grid) for bell in ALL_BELL_STATES], axis=0)
+            assert np.all(np.abs(mixture - mean) <= 4 * np.spacing(mean))
+            assert mixture.tolist() == [survival_law(kind, None, int(n)) for n in grid]
 
     def test_uniform_mixture_success_at_twenty_four_cycles(self):
         mean = np.mean([

@@ -204,7 +204,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_the_reference_route_shot_for_shot(self, kind, order):
         # Pick from `analyze` and `decode` each shot, with words from a fresh
-        # Philox: 200 shots cross several edges of the blocks read ahead.
+        # Philox: 200 shots cross several edges of the 64-shot window.
         seed = 2027
         bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         words = bits.random_raw(200 * DRAWS_PER_SHOT).reshape(200, DRAWS_PER_SHOT).tolist()
@@ -725,8 +725,9 @@ class TestRunRows:
     def test_a_non_finite_survival_raises(self, monkeypatch, bad):
         # Cast to uint64, a NaN or an infinity would become an arbitrary threshold.
         spec = ANALYZERS[AnalyzerKind.DQZ]
+        law = spec.survival[None]
         monkeypatch.setitem(ANALYZERS, AnalyzerKind.DQZ, dataclasses.replace(
-            spec, stage=lambda n: np.where(n == 7, bad, spec.stage(n))))
+            spec, survival=dict.fromkeys(spec.survival, lambda n: np.where(n == 7, bad, law(n)))))
         rows = [(AnalyzerKind.DQZ, n, 0) for n in (5, 6, 7, 8)]
         with pytest.raises(ValueError, match="finite"):
             list(run_rows(rows, 100, 1))
