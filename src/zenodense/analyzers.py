@@ -14,11 +14,13 @@ event. Detector layout (fixed across the library):
 * The IFM analyzer's photon side has only two detectors: D3 collects the
   trajectory-changed (Psi) branches and D4 the frozen (Phi) branches.
 * The single-QZ analyzer identifies the state via its ancilla rather than
-  these detectors; its outcomes are reported as the canonical m = 0 pairs.
+  these detectors; it reports the canonical pairs, dqz's m = 0 pairs.
 
-Conditional correctness holds exactly in the channel model: given the
-photon survives, the click pair identifies the input Bell state with
-probability one, for every analyzer and every N >= 1.
+No pair is written by hand: dqz measures its channel output, ifm its first
+stage's, each once at N = 2 by one rule (the electron Hadamard, the certain
+outcome, its detectors). Conditional correctness holds exactly in the
+channel model: given the photon survives, the click pair identifies the
+input Bell state with probability one, for every analyzer and every N >= 1.
 """
 
 from __future__ import annotations
@@ -124,8 +126,20 @@ def qz_is_degenerate(n_cycles: int) -> bool:
 _PASS_SIGN_FLIP = np.diag([1.0, 1.0, -1.0, -1.0])
 _HADAMARD_ON_ELECTRON = np.kron(hadamard().matrix, np.eye(2))
 
-# Photon detector by (polarization, path parameter m).
-_PHOTON_DETECTOR = {("V", 0): "D3", ("V", 1): "D6", ("H", 0): "D4", ("H", 1): "D5"}
+# Photon detectors of the (H, V) polarizations, by path parameter m.
+_PHOTON_DETECTORS = (("D4", "D3"), ("D5", "D6"))
+
+
+def _measure_pair(conditional: np.ndarray, photon_detectors: tuple[str, str]) -> DetectorPair:
+    """The click pair a surviving state names with certainty. `conditional` is a density
+    matrix over (electron block, pass) x two photon modes, which land on `photon_detectors`;
+    the electron Hadamard puts block + pass on the block path L = D2."""
+    h = _HADAMARD_ON_ELECTRON
+    probs = np.real(np.diag(h @ conditional @ h.conj().T)) / np.real(np.trace(conditional))
+    top = int(np.argmax(probs))
+    if probs[top] < 1.0 - ACCUMULATION_TOL:
+        raise AssertionError(f"analyzer conditional correctness violated: {probs}")
+    return DetectorPair("D2" if top < 2 else "D1", photon_detectors[top % 2])
 
 
 @functools.lru_cache(maxsize=None)  # eight entries at most: four Bell states by two m
@@ -136,24 +150,13 @@ def _dqz_pair_from_channel(bell: BellState, m: int) -> DetectorPair:
         # The cycle operator realizes the path-y electron sign; path x flips
         # the pass amplitude.
         conditional = _PASS_SIGN_FLIP @ conditional @ _PASS_SIGN_FLIP
-    h = _HADAMARD_ON_ELECTRON
-    after = h @ conditional @ h.conj().T
-    probs = np.real(np.diag(after))
-    top = int(np.argmax(probs))
-    if probs[top] < 1.0 - ACCUMULATION_TOL:
-        raise AssertionError(f"analyzer conditional correctness violated: {probs}")
-    # Slots: (block,H), (block,V), (pass,H), (pass,V); block path = L = D2.
-    electron = "D2" if top < 2 else "D1"
-    polarization = "H" if top % 2 == 0 else "V"
-    return DetectorPair(electron, _PHOTON_DETECTOR[(polarization, m)])
+    return _measure_pair(conditional, _PHOTON_DETECTORS[m])
 
 
 # ---------------------------------------------------------------------------
 # IFM analyzer
 
-ELECTRON_PATHS = ("a", "b")
-PHOTON_PATHS = ("c1", "c2", "d1", "d2")
-IFM_JOINT_LABELS = tuple(f"{e},{p}" for e in ELECTRON_PATHS for p in PHOTON_PATHS)
+IFM_JOINT_LABELS = tuple(f"{e},{p}" for e in ("a", "b") for p in ("c1", "c2", "d1", "d2"))
 
 
 def ifm_bell_input(bell: BellState) -> PureState:
@@ -187,14 +190,18 @@ def ifm_stage1_evolve(bell: BellState, n_cycles: int) -> tuple[PureState, float]
     return state, state.norm_squared()
 
 
-# Stage one sends the Psi photon to D3 and freezes Phi at D4; the electron
-# Hadamard puts the plus sign on D2.
-_IFM_PAIRS = {
-    BellState.PHI_PLUS: DetectorPair("D2", "D4"),
-    BellState.PHI_MINUS: DetectorPair("D1", "D4"),
-    BellState.PSI_PLUS: DetectorPair("D2", "D3"),
-    BellState.PSI_MINUS: DetectorPair("D1", "D3"),
-}
+# Stage one's end slots (c1, d1) merge onto D3, its start slots (c2, d2) onto D4.
+_IFM_PHOTON_DETECTORS = ("D3", "D4")
+
+
+@functools.lru_cache(maxsize=None)  # four entries: one per Bell state
+def _ifm_pair_from_chain(bell: BellState) -> DetectorPair:
+    """Derive the click pair by actually measuring the first-stage output, once, at N = 2."""
+    state, _ = ifm_stage1_evolve(bell, 2)
+    # Axes (electron a, b), (chain c, d), (end, start): merge the chains and
+    # order the electron (b, a) = (block, pass).
+    merged = state.amplitudes.reshape(2, 2, 2).sum(axis=1)[::-1].ravel()
+    return _measure_pair(np.outer(merged, merged.conj()), _IFM_PHOTON_DETECTORS)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +222,6 @@ def qz_collapsed_state(bell: BellState) -> PureState:
     second = 1.0 if bell.family == "phi" else -1.0
     return PureState(CONTROL_TARGET_LABELS,
                      [1 / sq3, second / sq3, bell.sign / sq3, 0.0])
-
-
-# Canonical m = 0 pairs: the ancilla's record resolves the family (Phi on
-# D3), the electron Hadamard the sign.
-_QZ_PAIRS = {
-    BellState.PHI_PLUS: DetectorPair("D2", "D3"),
-    BellState.PHI_MINUS: DetectorPair("D1", "D3"),
-    BellState.PSI_PLUS: DetectorPair("D2", "D4"),
-    BellState.PSI_MINUS: DetectorPair("D1", "D4"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +271,17 @@ ANALYZERS = {
     AnalyzerKind.IFM: AnalyzerSpec(
         survival={"phi": _ifm_phi_survival, "psi": channel_survival,
                   None: _ifm_mixture_survival},
-        pair=lambda bell, m: _IFM_PAIRS[bell],
+        pair=lambda bell, m: _ifm_pair_from_chain(bell),
         weight={"phi": 1.0, "psi": 0.0}, splitters_per_cycle=4, ancilla=False),
     # Single QZ: an ancillary H photon cycles through the gate with both
     # entangled particles as absorbers. If it survives all N cycles the four
-    # Bell states are identified with certainty; on absorption the pair
-    # collapses to the non-orthogonal qz_collapsed_state results and the run
-    # is lost. The gate blocks in three of the four equal-weight branches.
+    # Bell states are identified with certainty, reported as dqz's m = 0
+    # pairs; on absorption the pair collapses to the non-orthogonal
+    # qz_collapsed_state results and the run is lost. The gate blocks in
+    # three of the four equal-weight branches.
     AnalyzerKind.QZ: AnalyzerSpec(
         survival=dict.fromkeys(("phi", "psi", None), qz_ancilla_survival),
-        pair=lambda bell, m: _QZ_PAIRS[bell],
+        pair=lambda bell, m: _dqz_pair_from_channel(bell, 0),
         weight={"phi": 0.75, "psi": 0.75}, splitters_per_cycle=1, ancilla=True),
 }
 
@@ -321,7 +319,8 @@ def click_pair(kind: AnalyzerKind, bell: BellState, m: int = 0) -> DetectorPair:
     """The deterministic click pair a surviving run produces, for path parameter m (0 or 1).
 
     Every pair is N-independent: the dual-Zeno N-cycle operator is an exact
-    quarter turn for every N, so its pair is measured once, at N = 2.
+    quarter turn and the IFM first stage a full walk or a frozen photon for
+    every N, so each pair is measured once, at N = 2.
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")

@@ -76,10 +76,7 @@ class PureState:
     @classmethod
     def basis(cls, labels: Sequence[str], which: str) -> "PureState":
         """Basis ket |which> in the given labeled basis."""
-        labels = tuple(labels)
-        amps = np.zeros(len(labels), dtype=complex)
-        amps[labels.index(which)] = 1.0
-        return cls(labels, amps)
+        return cls.from_terms(labels, {which: 1.0})
 
     @classmethod
     def from_terms(cls, labels: Sequence[str], terms: Mapping[str, complex], *,
@@ -88,6 +85,8 @@ class PureState:
         labels = tuple(labels)
         amps = np.zeros(len(labels), dtype=complex)
         for label, amp in terms.items():
+            if label not in labels:
+                raise ValueError(f"unknown label {label!r}: the basis is {labels}")
             amps[labels.index(label)] = amp
         return cls(labels, amps, require_normalized=require_normalized)
 

@@ -26,12 +26,16 @@ from .optics import beam_splitter, pbs_route, polarization_rotator
 MC_SIGMAS = 4  # a Monte-Carlo R passes within this many standard errors of the closed form
 _VARIANCE_FLOOR = 1e-12  # keeps the standard error positive where R(2 - R) is 0
 
-# Each dual-Zeno click pair, m = 0 (D3, D4) then m = 1 (D5, D6), and its (Bell state, message).
+# Each analyzer's click pairs (dqz's for m = 0, then m = 1) and their (Bell state, message).
 GOLDEN_DECODE = {
-    ("D1", "D3"): ("Phi-", "10"), ("D2", "D3"): ("Phi+", "00"),
-    ("D1", "D4"): ("Psi-", "11"), ("D2", "D4"): ("Psi+", "01"),
-    ("D2", "D6"): ("Phi-", "10"), ("D1", "D6"): ("Phi+", "00"),
-    ("D2", "D5"): ("Psi-", "11"), ("D1", "D5"): ("Psi+", "01"),
+    ("dqz", "D1", "D3"): ("Phi-", "10"), ("dqz", "D2", "D3"): ("Phi+", "00"),
+    ("dqz", "D1", "D4"): ("Psi-", "11"), ("dqz", "D2", "D4"): ("Psi+", "01"),
+    ("dqz", "D2", "D6"): ("Phi-", "10"), ("dqz", "D1", "D6"): ("Phi+", "00"),
+    ("dqz", "D2", "D5"): ("Psi-", "11"), ("dqz", "D1", "D5"): ("Psi+", "01"),
+    ("ifm", "D1", "D4"): ("Phi-", "10"), ("ifm", "D2", "D4"): ("Phi+", "00"),
+    ("ifm", "D1", "D3"): ("Psi-", "11"), ("ifm", "D2", "D3"): ("Psi+", "01"),
+    ("qz", "D1", "D3"): ("Phi-", "10"), ("qz", "D2", "D3"): ("Phi+", "00"),
+    ("qz", "D1", "D4"): ("Psi-", "11"), ("qz", "D2", "D4"): ("Psi+", "01"),
 }
 
 # The least N reaching R = 1.8 bits/qubit, and its (beam splitters, ancilla).
@@ -125,10 +129,11 @@ def check_analytic_vs_mc(rows: Iterable[tuple[AnalyzerKind, int]] = tuple(
 
 
 def check_golden_decode() -> str | None:
-    for (e_det, p_det), (symbol, message) in GOLDEN_DECODE.items():
-        bell, decoded = protocol.decode(DetectorPair(e_det, p_det))
+    for (kind, e_det, p_det), (symbol, message) in GOLDEN_DECODE.items():
+        bell, decoded = protocol.decode(DetectorPair(e_det, p_det), kind)
         if bell.symbol != symbol or decoded != message:
-            return f"{e_det}*{p_det} decoded to ({bell.symbol}, {decoded}), expected ({symbol}, {message})"
+            return (f"{kind}: {e_det}*{p_det} decoded to ({bell.symbol}, {decoded}), "
+                    f"expected ({symbol}, {message})")
     return None
 
 

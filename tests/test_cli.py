@@ -654,7 +654,7 @@ class TestSelftest:
             "analytic-vs-mc": "dqz N=12: r_hat 1.768320 vs analytic 1.804867 exceeds 4 sigma"}),
         # The round trip decodes through the same table.
         (swap_two_decode_rows, {
-            "golden-decode-table": "D1*D3 decoded to (Phi+, 00), expected (Phi-, 10)",
+            "golden-decode-table": "dqz: D1*D3 decoded to (Phi+, 00), expected (Phi-, 10)",
             "decode-roundtrip": "dqz m=0: 00 -> D2*D3 -> 10"}),
         (shift_min_n, {"golden-thresholds": "qz: got N=72, resources=(72, True)"}),
         (swap_phi_pairs, {"decode-roundtrip": "dqz m=0: 00 -> D1*D3 -> 10"}),

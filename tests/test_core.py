@@ -70,6 +70,14 @@ class TestPureState:
         with pytest.raises(ValueError, match="1-d"):
             state(("a", "b"), [[1.0, 0.0]])
 
+    @pytest.mark.parametrize("build", [
+        lambda: PureState.basis(("a", "b"), "c"),
+        lambda: PureState.from_terms(("a", "b"), {"a": 0.6, "c": 0.8}),
+    ], ids=["basis", "from_terms"])
+    def test_an_unknown_label_names_itself_and_the_basis(self, build):
+        with pytest.raises(ValueError, match=r"^unknown label 'c': the basis is \('a', 'b'\)$"):
+            build()
+
     def test_from_terms_places_sparse_amplitudes(self):
         s = PureState.from_terms(("a", "b", "c"), {"c": 0.6j, "a": 0.8})
         assert np.array_equal(s.amplitudes, [0.8, 0.0, 0.6j])

@@ -15,6 +15,10 @@ from zenodense.ifm import (
     ifm_detect,
     ifm_evolve,
 )
+from zenodense.metrics import MAX_CURVE_CYCLES
+
+# Log-spaced cycle counts over the whole range the CLI accepts, 1 to 10**6.
+ORACLE_CYCLES = np.unique(np.geomspace(1, MAX_CURVE_CYCLES, 40).round().astype(int)).tolist()
 
 
 class TestAbsorberState:
@@ -64,9 +68,14 @@ class TestIfmEvolve:
 
 
 class TestBlockedSurvivalOracle:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 100, 512, 50_000])
+    @pytest.mark.parametrize("n", ORACLE_CYCLES)
     def test_closed_form_matches_per_cycle_projection(self, n):
         assert abs(blocked_survival(n) - blocked_survival_sim(n)) < 1e-10
+
+    def test_the_blocked_chain_has_one_closed_form(self):
+        # ifm_evolve's survival after all N cycles is blocked_survival's value, bit for bit.
+        for n in sorted(set(range(1, 20_001)) | set(ORACLE_CYCLES)):
+            assert ifm_evolve(n, n, blocked=True)[1] == blocked_survival(n)
 
     def test_frozen_values(self):
         assert blocked_survival_sim(10) == pytest.approx(0.7805460698, abs=1e-9)

@@ -1,11 +1,21 @@
 """The channel build the self-test's checks share: read-only, equal to each check's own
-products, and, unfaulted, the states and weights dqz_apply returns."""
+products, and, unfaulted, the states and weights dqz_apply returns. And the golden decode
+check: a wrong click-pair rule for any analyzer fails it, in tier-1 and in the self-test."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from zenodense import invariants
-from zenodense.analyzers import ALL_BELL_STATES, AnalyzerKind, survival_probability
+from zenodense import analyzers, invariants, protocol
+from zenodense.analyzers import (
+    ALL_BELL_STATES,
+    AnalyzerKind,
+    BellState,
+    DetectorPair,
+    survival_probability,
+)
+from zenodense.cli import main
 from zenodense.zeno import dqz_apply, post_gate_target
 
 
@@ -65,3 +75,79 @@ def test_dqz_apply_carries_the_table_survival():
         for n in ns:
             assert dqz_apply(bell, n).surviving_weight == survival_probability(
                 AnalyzerKind.DQZ, bell, n)
+
+
+# Mutant pair rules. Each installs, for one analyzer, a rule `pair(bell, m)` and the
+# decode table built from it, so that click_pair and decode agree and the round trip
+# still holds: only the recorded GOLDEN_DECODE rows can tell the rule is wrong.
+
+
+def install_pair_rule(monkeypatch, kind, pair):
+    spec = dataclasses.replace(analyzers.ANALYZERS[kind], pair=pair)
+    monkeypatch.setitem(analyzers.ANALYZERS, kind, spec)
+    monkeypatch.setitem(protocol._DECODE_TABLES, kind, protocol._decode_table(kind))
+
+
+def electron_swap(kind, family):
+    def mutate(monkeypatch):
+        real = analyzers.ANALYZERS[kind].pair
+
+        def pair(bell, m):
+            clicks = real(bell, m)
+            if bell.family != family:
+                return clicks
+            return DetectorPair({"D1": "D2", "D2": "D1"}[clicks.electron], clicks.photon)
+
+        install_pair_rule(monkeypatch, kind, pair)
+    return mutate
+
+
+def ifm_mutant(attribute, value):
+    """The IFM rule, measured afresh (past its cache) with one module attribute replaced."""
+    def mutate(monkeypatch):
+        monkeypatch.setattr(analyzers, attribute, value)
+        install_pair_rule(monkeypatch, AnalyzerKind.IFM,
+                          lambda bell, m: analyzers._ifm_pair_from_chain.__wrapped__(bell))
+    return mutate
+
+
+_OPPOSITE_SIGN = {BellState.PHI_PLUS: BellState.PHI_MINUS, BellState.PHI_MINUS: BellState.PHI_PLUS,
+                  BellState.PSI_PLUS: BellState.PSI_MINUS, BellState.PSI_MINUS: BellState.PSI_PLUS}
+_real_ifm_input = analyzers.ifm_bell_input
+
+PAIR_MUTANTS = {
+    **{f"{kind.value}-{family}-electron-swap": (kind, electron_swap(kind, family))
+       for kind in AnalyzerKind for family in ("phi", "psi")},
+    "ifm-d3-d4-mode-swap": (AnalyzerKind.IFM, ifm_mutant("_IFM_PHOTON_DETECTORS", ("D4", "D3"))),
+    "ifm-input-sign-flip": (AnalyzerKind.IFM, ifm_mutant(
+        "ifm_bell_input", lambda bell: _real_ifm_input(_OPPOSITE_SIGN[bell]))),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_MUTANTS)
+def test_a_wrong_pair_rule_fails_only_the_golden_decode_check(monkeypatch, name):
+    kind, mutate = PAIR_MUTANTS[name]
+    assert invariants.check_golden_decode() is None
+    mutate(monkeypatch)
+    assert invariants.check_golden_decode().startswith(f"{kind.value}: ")
+    assert invariants.check_decode_roundtrip() is None
+
+
+@pytest.mark.parametrize("name", PAIR_MUTANTS)
+def test_the_selftest_names_a_wrong_pair_rule(capsys, monkeypatch, name):
+    kind, mutate = PAIR_MUTANTS[name]
+    mutate(monkeypatch)
+    assert main(["selftest"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith(f"FAIL golden-decode-table: {kind.value}: ")
+
+
+def test_the_pair_rules_are_measured_not_tabled():
+    # Each IFM pair comes from its own first-stage measurement; QZ reads dqz's m = 0 pairs.
+    for bell in ALL_BELL_STATES:
+        for m in (0, 1):
+            assert analyzers.click_pair(AnalyzerKind.IFM, bell, m) == (
+                analyzers._ifm_pair_from_chain.__wrapped__(bell))
+            assert analyzers.click_pair(AnalyzerKind.QZ, bell, m) == (
+                analyzers.click_pair(AnalyzerKind.DQZ, bell, 0))

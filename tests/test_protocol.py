@@ -110,15 +110,21 @@ class TestEncode:
 
 class TestDecode:
     @staticmethod
-    def assert_golden_rows(photon_detectors):
-        rows = [(pair, row) for pair, row in GOLDEN_DECODE.items() if pair[1] in photon_detectors]
+    def assert_golden_rows(photon_detectors, kind=AnalyzerKind.DQZ):
+        rows = [(pair, row) for (analyzer, *pair), row in GOLDEN_DECODE.items()
+                if analyzer == kind.value and pair[1] in photon_detectors]
         assert len(rows) == 4
         for (e_det, p_det), (symbol, message) in rows:
-            bell, decoded = decode(DetectorPair(e_det, p_det))
+            bell, decoded = decode(DetectorPair(e_det, p_det), kind)
             assert (bell.symbol, decoded) == (symbol, message)
 
     def test_golden_rows(self):
         self.assert_golden_rows(("D3", "D4"))
+
+    @pytest.mark.parametrize("kind", [AnalyzerKind.IFM, AnalyzerKind.QZ])
+    def test_golden_rows_of_the_single_convention_analyzers(self, kind):
+        self.assert_golden_rows(("D3", "D4"), kind)
+        assert sum(analyzer == kind.value for analyzer, _, _ in GOLDEN_DECODE) == 4
 
     def test_all_eight_dqz_pairs_decode(self):
         pairs = set()
