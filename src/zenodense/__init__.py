@@ -39,7 +39,7 @@ from .metrics import (
     r_analytic,
     resource_counts,
 )
-from .optics import CycleAngle, beam_splitter, pbs_route, polarization_rotator
+from .optics import beam_splitter, cycle_angle, pbs_route, polarization_rotator
 from .protocol import (
     MESSAGES,
     EfficiencyEstimate,
@@ -50,12 +50,11 @@ from .protocol import (
     simulate,
 )
 from .zeno import (
-    CycleChannel,
     DqzOutcome,
     cycle_survival,
     dqz_apply,
     dqz_asymptotic,
-    dqz_cycle_channel,
+    dqz_cycle_operator,
     dqz_element_sim,
     dqz_element_survival,
     post_gate_target,

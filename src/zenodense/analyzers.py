@@ -35,7 +35,7 @@ import numpy as np
 from .bell import ALL_BELL_STATES, BellState
 from .core import ACCUMULATION_TOL, OutcomeDistribution, PureState, hadamard
 from .ifm import AbsorberState, blocked_survival
-from .optics import CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
+from .optics import absorbing_cycles, beam_splitter, cycle_angle, cycle_counts
 from .zeno import channel_survival, dqz_apply
 
 ELECTRON_DETECTORS = ("D1", "D2")
@@ -106,13 +106,14 @@ def qz_ancilla_survival(n_cycles):
     N = 1 is degenerate: sin(pi) = 0 makes the formula vacuously 1.
     """
     n = cycle_counts(n_cycles)
-    return (1.0 - 0.75 * np.sin(np.pi / n) ** 2) ** n
+    return (1.0 - 0.75 * np.sin(2.0 * cycle_angle(n)) ** 2) ** n
 
 
 def ifm_family_survival(bell: BellState, n_cycles: int) -> float:
     """First-stage survival of the IFM analyzer: cos^{2N} theta_N for the
     Phi family (both branches frozen), 1 for Psi (both branches fly free)."""
-    return float(blocked_survival(n_cycles)) if bell.family == "phi" else 1.0
+    frozen = blocked_survival(n_cycles)  # checks N for both families
+    return float(frozen) if bell.family == "phi" else 1.0
 
 
 def qz_is_degenerate(n_cycles: int) -> bool:
@@ -182,7 +183,7 @@ def ifm_stage1_evolve(bell: BellState, n_cycles: int) -> tuple[PureState, float]
     # start slot (c2, d2) toward its end slot (c1, d1); the photon slots are
     # ordered (end, start), hence the reversed rotation. Electron a blocks the
     # c chain, electron b the d chain.
-    rot = beam_splitter(CycleAngle(n_cycles).theta).matrix.real[::-1, ::-1]
+    rot = beam_splitter(cycle_angle(n_cycles)).matrix.real[::-1, ::-1]
     absorbed = [IFM_JOINT_LABELS.index("a,c1"), IFM_JOINT_LABELS.index("b,d1")]
     amps, _ = absorbing_cycles(np.kron(np.eye(4), rot), absorbed,
                                ifm_bell_input(bell).amplitudes, n_cycles)
@@ -291,7 +292,7 @@ def survival_law(kind: AnalyzerKind, bell: BellState | None, n_cycles) -> np.nda
     over a cycle count or an array of them: the table's law for its family, called.
     Each element equals, bit for bit, the value of its cycle count alone."""
     spec = ANALYZERS[kind if isinstance(kind, AnalyzerKind) else AnalyzerKind(kind)]
-    return spec.survival[None if bell is None else bell.family](np.asarray(n_cycles, dtype=float))
+    return spec.survival[None if bell is None else bell.family](cycle_counts(n_cycles))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -335,8 +336,7 @@ def semi_counterfactual_stats(source: BellState | AbsorberState, n_cycles: int =
     with certainty (given survival); a classical passing object sends it
     to-and-fro on every run.
     """
-    if not n_cycles >= 1:  # NaN fails too
-        raise ValueError("n_cycles must be >= 1")
+    cycle_counts(n_cycles)
     if isinstance(source, BellState):
         return 0.5
     if isinstance(source, AbsorberState):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .core import ALGEBRA_TOL, OutcomeDistribution, PureState
-from .optics import PATH_LABELS, CycleAngle, absorbing_cycles, beam_splitter, cycle_counts
+from .optics import PATH_LABELS, absorbing_cycles, beam_splitter, cycle_angle, cycle_counts
 
 PHOTON_IN_A, PHOTON_IN_B, ABSORBED = "photon_in_a", "photon_in_b", "absorbed"
 
@@ -86,7 +86,7 @@ def blocked_survival(n_cycles):
     cycle count gives.
     """
     n = cycle_counts(n_cycles)
-    return np.asarray(_libm_pow(np.cos(np.pi / (2.0 * n)), 2 * n), dtype=float)[()]
+    return np.asarray(_libm_pow(np.cos(cycle_angle(n)), 2 * n), dtype=float)[()]
 
 
 def blocked_survival_sim(n_cycles: int) -> float:
@@ -97,7 +97,7 @@ def blocked_survival_sim(n_cycles: int) -> float:
     Independent of the closed form above on purpose; the two are compared in
     tests at 1e-10.
     """
-    bs = beam_splitter(CycleAngle(n_cycles).theta).matrix.real
+    bs = beam_splitter(cycle_angle(n_cycles)).matrix.real
     # amplitude in path b is absorbed by the object
     v, _ = absorbing_cycles(bs, [1], np.array([1.0, 0.0]), n_cycles)
     return float(v[0] ** 2)
@@ -110,14 +110,14 @@ def ifm_evolve(n_cycles: int, n_done: int, blocked: bool) -> tuple[PureState, fl
     chain: the photon is renormalized back to |a> and the survival picks up
     cos^2(theta) per cycle.
     """
+    theta = cycle_angle(n_cycles)
     if not 1 <= n_done <= n_cycles:
         raise ValueError("need 1 <= n_done <= n_cycles")
-    angles = CycleAngle(n_cycles)
     if blocked:
         state = PureState.basis(PATH_LABELS, "a")
-        survival = float(np.cos(angles.theta) ** (2 * n_done))
+        survival = float(np.cos(theta) ** (2 * n_done))
         return state, survival
-    turned = n_done * angles.theta
+    turned = n_done * theta
     state = PureState(PATH_LABELS, [np.cos(turned), np.sin(turned)])
     return state, 1.0
 
@@ -129,7 +129,7 @@ def ifm_joint_amplitudes(n_cycles: int, absorber: AbsorberState) -> tuple[np.nda
     which-path marker, so entanglement generated between object and photon is
     kept rather than mixed away.
     """
-    bs = beam_splitter(CycleAngle(n_cycles).theta).matrix
+    bs = beam_splitter(cycle_angle(n_cycles)).matrix
     amps = np.array([absorber.pass_amplitude, 0.0, absorber.block_amplitude, 0.0])
     # the block branch absorbs whatever reaches path b
     return absorbing_cycles(np.kron(np.eye(2), bs), [3], amps, n_cycles)
@@ -137,8 +137,6 @@ def ifm_joint_amplitudes(n_cycles: int, absorber: AbsorberState) -> tuple[np.nda
 
 def ifm_detect(n_cycles: int, absorber: AbsorberState) -> OutcomeDistribution:
     """Where the photon ends up after the full chain: path a, path b, or absorbed."""
-    if not n_cycles >= 1:  # NaN fails too
-        raise ValueError("n_cycles must be >= 1")
     amps, lost = ifm_joint_amplitudes(n_cycles, absorber)
     p_a = abs(amps[0]) ** 2 + abs(amps[2]) ** 2
     p_b = abs(amps[1]) ** 2 + abs(amps[3]) ** 2

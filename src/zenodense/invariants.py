@@ -50,7 +50,7 @@ def cycle_channels(cycles: Iterable[int] = (1, 2, 3, 7, 12, 24, 64),
     under each N-cycle power of its branch's K, stacked in the order of Ns. Every returned
     array is read-only, so the checks that share one build cannot change what the next reads.
     inject_fault="k-sign" first flips one sign of every K, which each channel check must catch."""
-    operators = {(branch, n): np.array(zeno.dqz_cycle_channel(branch, n).operator)
+    operators = {(branch, n): np.array(zeno.dqz_cycle_operator(branch, n))
                  for branch in (0, 1) for n in cycles}
     if inject_fault == "k-sign":
         for k in operators.values():

@@ -15,11 +15,13 @@ and is excluded from monotone scans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analyzers import ANALYZERS, AnalyzerKind, survival_law
+from .optics import cycle_counts
 
 # Best laboratory throughput to date (hyperentanglement-assisted analysis),
 # used purely as a numeric benchmark threshold.
@@ -73,7 +75,10 @@ def efficiency_curve(analyzer: AnalyzerKind, n_min: int, n_max: int) -> Efficien
     analyzer = AnalyzerKind(analyzer)
     if not 1 <= n_min <= n_max <= MAX_CURVE_CYCLES:
         raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_CURVE_CYCLES}")
-    n = np.arange(n_min, n_max + 1, dtype=np.int64)
+    low, high = math.ceil(n_min), math.floor(n_max)
+    if low > high:
+        raise ValueError(f"no integer cycle count in [{n_min}, {n_max}]")
+    n = np.arange(low, high + 1, dtype=np.int64)
     return EfficiencyCurve(analyzer, n, _r_array(analyzer, n))
 
 
@@ -107,6 +112,5 @@ def min_n_for_target(analyzer: AnalyzerKind, target_r: float) -> int:
 def resource_counts(analyzer: AnalyzerKind, n_cycles: int) -> tuple[int, bool]:
     """(beam splitters required, needs an ancillary particle) at N cycles."""
     spec = ANALYZERS[AnalyzerKind(analyzer)]
-    if not n_cycles >= 1:  # NaN fails too
-        raise ValueError("n_cycles must be >= 1")
+    cycle_counts(n_cycles)
     return spec.splitters_per_cycle * n_cycles, spec.ancilla

@@ -8,7 +8,7 @@ rotator conventions are observable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -21,33 +21,28 @@ POLARIZATION_LABELS = ("H", "V")
 ARM_IN, ARM_TRANSMITTED, ARM_REFLECTED = "in", "transmitted", "reflected"
 
 
-@dataclass(frozen=True)
-class CycleAngle:
-    """Per-cycle rotation angles for an N-cycle Zeno interrogation."""
-
-    n_cycles: int
-
-    def __post_init__(self):
-        if not self.n_cycles >= 1:  # NaN fails too
-            raise ValueError("n_cycles must be a positive integer")
-
-    @property
-    def theta(self) -> float:
-        """Beam-splitter / polarization-rotator angle pi/(2N)."""
-        return np.pi / (2.0 * self.n_cycles)
-
-    @property
-    def phi(self) -> float:
-        """Ancilla-rotation angle pi/N (= 2 theta)."""
-        return np.pi / self.n_cycles
-
-
 def cycle_counts(n_cycles) -> np.ndarray:
-    """A cycle count, or an array of them, as floats for the vectorized closed forms."""
-    n = np.asarray(n_cycles, dtype=float)
-    if not n.min() >= 1:  # NaN fails too
-        raise ValueError("cycle counts must be >= 1")
+    """The cycle-count contract: a count N, or an array of them, as floats.
+
+    Every N must be finite and >= 1; anything else, an int too large for a
+    float included, raises ValueError. One count is compared as a Python
+    float and an array by its min and max, so the check that every closed
+    form runs stays cheap.
+    """
+    try:
+        n = np.asarray(n_cycles, dtype=float)
+    except OverflowError:  # an int too large for a float
+        n = np.asarray(math.inf)
+    low, high = (n.min(), n.max()) if n.ndim else (float(n),) * 2
+    if not 1.0 <= low <= high < math.inf:  # NaN fails too
+        raise ValueError("cycle counts must be finite and >= 1")
     return n
+
+
+def cycle_angle(n_cycles):
+    """theta_N = pi/(2N), the per-cycle beam-splitter and rotator angle, over a cycle
+    count or an array of them. The ancilla angle phi_N = pi/N is 2 theta_N bit for bit."""
+    return np.pi / (2.0 * cycle_counts(n_cycles))
 
 
 def absorbing_cycles(cycle, absorbed, amplitudes, n_cycles: int) -> tuple[np.ndarray, float]:

@@ -50,6 +50,7 @@ from .analyzers import (
 # module, though protocol calls none of them; they can go once its traced run no
 # longer does (ROADMAP item 1).
 from .core import ALGEBRA_TOL, shot_stream, shot_uniforms  # noqa: F401
+from .optics import cycle_counts
 
 MESSAGES = ("00", "01", "10", "11")
 _MESSAGE_INDEX = {message: index for index, message in enumerate(MESSAGES)}
@@ -236,7 +237,7 @@ def _tally_plans(batch: list[tuple[AnalyzerKind, int, int]],
     bells = [encode(MESSAGES[index]) for index in sent]
     plans = {}  # per analyzer, its rows' plans in row order
     for kind in {row[0] for row in batch}:
-        n = np.array([row[1] for row in batch if row[0] is kind], dtype=float)
+        n = cycle_counts([row[1] for row in batch if row[0] is kind])
         # One evaluation per distinct law the table gives the families sent.
         table = ANALYZERS[kind].survival
         laws = {table[bell.family]: bell for bell in bells}
@@ -382,8 +383,9 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     Each row is (analyzer, n_cycles, stream_tag) and draws from the stream
     its tag names; consecutive rows of a batch on one stream draw its words
     once and share them. Rows are planned a bounded batch at a time, as they
-    are needed, so a row whose plan fails (N < 1, a non-finite survival)
-    fails its batch before any row of it is yielded; they are packed into
+    are needed, so a row whose plan fails (a cycle count that
+    `optics.cycle_counts` rejects, a non-finite survival) fails its batch
+    before any row of it is yielded; they are packed into
     work units of at most 2**16 shots (see `_units`). With more than one
     thread (the argument, else SDC_THREADS) and rows of _POOL_ROW_SHOTS
     shots or more, the units run on a pool made when a second unit appears,

@@ -1,13 +1,14 @@
-"""Quantum-Zeno gates: the single H/V gate, the dual gate, and its finite-N cycle channel.
+"""Quantum-Zeno gates: the single H/V gate, the dual gate, and its finite-N cycle operator.
 
 Two models of the dual-Zeno (DQZ) gate live here side by side:
 
-* The cycle-channel model: per cycle, an orthogonal 4x4 operator rotates the
-  pass components by theta_N while a state-independent survival probability
-  P = 1 - sin^2(theta_N)/2 accounts for absorption. This is the production
-  path: `dqz_apply`, the analyzer table and the self-test read its one K^N rho
-  K^N^T, `conditional_states`, and its one P^N, `channel_survival`, from which
-  every closed-form throughput in `metrics` follows.
+* The cycle-channel model: per cycle, an orthogonal 4x4 operator K,
+  `dqz_cycle_operator`, rotates the pass components by theta_N while a
+  state-independent survival probability P = 1 - sin^2(theta_N)/2 accounts
+  for absorption. This is the production path: `dqz_apply`, the analyzer
+  table and the self-test read its one K^N rho K^N^T, `conditional_states`,
+  and its one P^N, `channel_survival`, from which every closed-form
+  throughput in `metrics` follows.
 
 * The element-level model: the per-cycle element map raised to the N-th
   power, where one cycle is the polarization rotators and PBS routing
@@ -30,8 +31,8 @@ from .core import (ACCUMULATION_TOL, ALGEBRA_TOL, DensityMatrix, OutcomeDistribu
 from .ifm import AbsorberState
 from .optics import (
     POLARIZATION_LABELS,
-    CycleAngle,
     absorbing_cycles,
+    cycle_angle,
     cycle_counts,
     polarization_rotator,
 )
@@ -48,58 +49,37 @@ def cycle_survival(n_cycles):
 
     Takes a cycle count or an array of them.
     """
-    n = cycle_counts(n_cycles)
-    return 1.0 - 0.5 * np.sin(np.pi / (2.0 * n)) ** 2
+    return 1.0 - 0.5 * np.sin(cycle_angle(n_cycles)) ** 2
 
 
 def channel_survival(n_cycles):
     """P^N, the weight N channel cycles keep for every Bell input, over a cycle count or
     an array of them: numpy's power runs for both, so each element equals its N's alone."""
-    n = np.asarray(n_cycles, dtype=float)
+    n = cycle_counts(n_cycles)
     return cycle_survival(n) ** n
 
 
-@dataclass(frozen=True)
-class CycleChannel:
-    """One dual-Zeno cycle: orthogonal operator plus per-cycle survival."""
+def dqz_cycle_operator(branch_index: int, n_cycles: int) -> np.ndarray:
+    """The per-cycle operator K for branch i (1 = Phi family, 0 = Psi), read-only.
 
-    operator: np.ndarray
-    survival_p: float
-    n_cycles: int
-
-    def __post_init__(self):
-        mat = np.array(self.operator, dtype=float)
-        if mat.shape != (4, 4):
-            raise ValueError(f"cycle operator must be 4x4, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "operator", mat)
-        defect = unitarity_defect(mat)
-        if defect >= ALGEBRA_TOL:
-            raise ValueError(f"cycle operator is not orthogonal (defect {defect:.3e})")
-        if not 0.0 < self.survival_p <= 1.0:
-            raise ValueError(f"survival_p out of (0, 1]: {self.survival_p!r}")
-
-    def n_cycle_operator(self) -> np.ndarray:
-        return np.linalg.matrix_power(self.operator, self.n_cycles)
-
-
-def dqz_cycle_channel(branch_index: int, n_cycles: int) -> CycleChannel:
-    """The per-cycle operator and survival for branch i (1 = Phi family, 0 = Psi).
-
-    The operator is the identity on the block components and a theta_N
-    rotation with sign pattern (-1)^{i+1} / (-1)^i on the pass components.
-    N of them compose to an exact quarter turn of the pass subspace.
+    K is the identity on the block components and a theta_N rotation with
+    sign pattern (-1)^{i+1} / (-1)^i on the pass components. N of them
+    compose to an exact quarter turn of the pass subspace.
     """
     if branch_index not in (0, 1):
         raise ValueError("branch_index must be 0 or 1")
-    angles = CycleAngle(n_cycles)
-    c, s = np.cos(angles.theta), np.sin(angles.theta)
+    theta = cycle_angle(n_cycles)
+    c, s = np.cos(theta), np.sin(theta)
     op = np.eye(4)
     op[_PASS_H, _PASS_H] = c
     op[_PASS_H, _PASS_V] = (-1.0) ** (branch_index + 1) * s
     op[_PASS_V, _PASS_H] = (-1.0) ** branch_index * s
     op[_PASS_V, _PASS_V] = c
-    return CycleChannel(op, float(cycle_survival(n_cycles)), n_cycles)
+    defect = unitarity_defect(op)
+    if defect >= ALGEBRA_TOL:
+        raise ValueError(f"cycle operator is not orthogonal (defect {defect:.3e})")
+    op.setflags(write=False)
+    return op
 
 
 @dataclass(frozen=True)
@@ -129,7 +109,7 @@ def conditional_states(bell: BellState, kn: np.ndarray) -> np.ndarray:
 
 def dqz_apply(bell: BellState, n_cycles: int) -> DqzOutcome:
     """Apply the N-cycle channel to a Bell input."""
-    kn = dqz_cycle_channel(bell.branch_index, n_cycles).n_cycle_operator()
+    kn = np.linalg.matrix_power(dqz_cycle_operator(bell.branch_index, n_cycles), n_cycles)
     weight = float(channel_survival(n_cycles))
     return DqzOutcome(DensityMatrix(COMPOSITE_LABELS, conditional_states(bell, kn)),
                       surviving_weight=weight, lost_weight=1.0 - weight)
@@ -173,9 +153,7 @@ def _gate_cycle(axis: str, n_cycles: int | None) -> tuple[np.ndarray, int]:
         cycle = np.eye(4)
         cycle[2:, 2:] = [[0.0, -1.0], [1.0, 0.0]]
         return cycle, 1
-    if not n_cycles >= 1:  # NaN fails too
-        raise ValueError("n_cycles must be >= 1 (or None for the asymptotic gate)")
-    return np.kron(np.eye(2), _rotator_pair(axis, CycleAngle(n_cycles).theta)), n_cycles
+    return np.kron(np.eye(2), _rotator_pair(axis, cycle_angle(n_cycles))), n_cycles
 
 
 def qz_gate(axis: str, n_cycles: int | None, absorber: AbsorberState,

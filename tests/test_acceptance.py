@@ -16,7 +16,7 @@ from zenodense.bell import COMPOSITE_LABELS
 from zenodense.core import PureState
 from zenodense.ifm import AbsorberState, blocked_survival, blocked_survival_sim, ifm_evolve
 from zenodense.metrics import efficiency_curve, r_analytic
-from zenodense.optics import CycleAngle, beam_splitter, rotator_pbs_arm_matrix
+from zenodense.optics import beam_splitter, cycle_angle, rotator_pbs_arm_matrix
 from zenodense.protocol import run_protocol, simulate
 from zenodense.zeno import DISCARDED, dqz_element_sim, qz_gate
 
@@ -93,7 +93,7 @@ def test_08_element_level_oracle():
         # Rotator followed by PBS routing is the beam splitter, exactly.
         for axis in ("H", "V"):
             for n in (1, 2, 7, 24, 1000):
-                theta = CycleAngle(n).theta
+                theta = cycle_angle(n)
                 gap = np.max(np.abs(rotator_pbs_arm_matrix(axis, theta)
                                     - beam_splitter(theta).matrix))
                 assert gap < 1e-12

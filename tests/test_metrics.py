@@ -159,6 +159,17 @@ class TestEfficiencyCurve:
         with pytest.raises(ValueError):
             efficiency_curve(DQZ, 1, 10**6 + 1)
 
+    @pytest.mark.parametrize("n_min,n_max,expected", [
+        (1.5, 3, [2, 3]), (2, 3.9, [2, 3]), (1.5, 3.5, [2, 3]), (2.0, 2.0, [2])])
+    def test_takes_the_integers_between_bounds_that_are_not(self, n_min, n_max, expected):
+        curve = efficiency_curve(DQZ, n_min, n_max)
+        assert curve.n_values.tolist() == expected
+        assert curve.r_values.tolist() == [r_analytic(DQZ, n) for n in expected]
+
+    def test_a_range_without_an_integer_is_rejected(self):
+        with pytest.raises(ValueError, match="no integer"):
+            efficiency_curve(DQZ, 2.2, 2.8)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(2.0, 3.0), -0.5])
     def test_rejects_throughput_outside_zero_to_two(self, bad):
         # NaN compares false both ways, so only a containment test catches it.

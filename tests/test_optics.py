@@ -14,9 +14,9 @@ from zenodense.core import unitarity_defect, PureState
 from zenodense.ifm import AbsorberState
 from zenodense.optics import (
     POLARIZATION_LABELS,
-    CycleAngle,
     absorbing_cycles,
     beam_splitter,
+    cycle_angle,
     cycle_counts,
     pbs_route,
     polarization_rotator,
@@ -25,15 +25,14 @@ from zenodense.optics import (
 
 
 class TestCycleAngle:
-    def test_angles(self):
-        angles = CycleAngle(10)
-        assert angles.theta == pytest.approx(np.pi / 20)
-        assert angles.phi == pytest.approx(np.pi / 10)
-        assert angles.phi == pytest.approx(2 * angles.theta)
+    def test_angle(self):
+        assert cycle_angle(10) == pytest.approx(np.pi / 20)
 
-    def test_rejects_zero_cycles(self):
-        with pytest.raises(ValueError):
-            CycleAngle(0)
+    def test_twice_theta_is_phi_bit_for_bit_and_the_array_equals_its_scalars(self):
+        n = np.arange(1, metrics.MAX_CURVE_CYCLES + 1)
+        theta = cycle_angle(n)
+        assert np.array_equal(2.0 * theta, np.pi / n.astype(float))
+        assert theta.tolist() == [float(cycle_angle(k)) for k in n.tolist()]
 
 
 _PHI, _DQZ, _BLOCK = BellState.PHI_PLUS, AnalyzerKind.DQZ, AbsorberState.blocking()
@@ -42,9 +41,9 @@ _H = PureState.basis(POLARIZATION_LABELS, "H")
 
 # Each public entry point that takes a cycle count, by name.
 _CYCLE_COUNT_CALLS = {
-    "CycleAngle": CycleAngle, "cycle_counts": cycle_counts,
+    "cycle_angle": cycle_angle, "cycle_counts": cycle_counts,
     "cycle_survival": zeno.cycle_survival, "channel_survival": zeno.channel_survival,
-    "dqz_cycle_channel": lambda n: zeno.dqz_cycle_channel(0, n),
+    "dqz_cycle_operator": lambda n: zeno.dqz_cycle_operator(0, n),
     "dqz_apply": lambda n: zeno.dqz_apply(_PHI, n),
     "qz_gate": lambda n: zeno.qz_gate("H", n, _BLOCK, _H),
     "dqz_element_sim": lambda n: zeno.dqz_element_sim(_PHI.ket(), n),
@@ -69,10 +68,19 @@ _CYCLE_COUNT_CALLS = {
 }
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf"), 0, 0.5, 10**400],
+                         ids=["nan", "inf", "-inf", "0", "0.5", "10**400"])
 @pytest.mark.parametrize("name", _CYCLE_COUNT_CALLS)
-def test_a_nan_cycle_count_is_rejected(name):
+def test_a_bad_cycle_count_is_rejected(name, n):
     with pytest.raises(ValueError):
-        _CYCLE_COUNT_CALLS[name](float("nan"))
+        _CYCLE_COUNT_CALLS[name](n)
+
+
+def test_cycle_counts_checks_every_element():
+    assert cycle_counts([1, 2.5, 10**6]).tolist() == [1.0, 2.5, 1e6]
+    for bad in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ValueError):
+            cycle_counts([2, bad, 3])
 
 
 class TestBeamSplitter:
@@ -82,7 +90,7 @@ class TestBeamSplitter:
 
     def test_partial_rotation_amplitudes(self):
         n, k = 16, 5
-        theta = CycleAngle(n).theta
+        theta = cycle_angle(n)
         amps = PureState.basis(("a", "b"), "a").amplitudes
         for _ in range(k):
             amps = beam_splitter(theta).matrix @ amps
@@ -91,7 +99,7 @@ class TestBeamSplitter:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 63, 64, 257, 1024, 4096, 65536, 100000])
     def test_n_fold_power_moves_photon_exactly(self, n):
-        bs = beam_splitter(CycleAngle(n).theta)
+        bs = beam_splitter(cycle_angle(n))
         power = np.linalg.matrix_power(bs.matrix, n)
         out = power @ np.array([1.0, 0.0])
         assert abs(out[0]) < 1e-10
@@ -111,12 +119,12 @@ class TestBeamSplitter:
 class TestPolarizationRotators:
     def test_h_axis_walks_h_to_v(self):
         n = 40
-        pr = polarization_rotator("H", CycleAngle(n).theta)
+        pr = polarization_rotator("H", cycle_angle(n))
         out = np.linalg.matrix_power(pr.matrix, n) @ np.array([1.0, 0.0])
         assert abs(out[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_v_axis_single_step(self):
-        theta = CycleAngle(12).theta
+        theta = cycle_angle(12)
         out = polarization_rotator("V", theta).matrix @ PureState.basis(("H", "V"), "V").amplitudes
         assert out[1] == pytest.approx(np.cos(theta), abs=1e-12)
         assert out[0] == pytest.approx(np.sin(theta), abs=1e-12)
@@ -159,7 +167,7 @@ class TestRotatorPbsComposition:
     @pytest.mark.parametrize("axis", ["H", "V"])
     @pytest.mark.parametrize("n", [1, 2, 5, 24, 100])
     def test_reproduces_beam_splitter_on_arm_pair(self, axis, n):
-        theta = CycleAngle(n).theta
+        theta = cycle_angle(n)
         composite = rotator_pbs_arm_matrix(axis, theta)
         assert np.max(np.abs(composite - beam_splitter(theta).matrix)) < 1e-12
 
@@ -216,7 +224,7 @@ class TestAbsorbingCycles:
         assert abs(lost - expected_lost) < 1e-12
 
     def test_leaves_its_inputs_alone(self):
-        cycle = beam_splitter(CycleAngle(4).theta).matrix
+        cycle = beam_splitter(cycle_angle(4)).matrix
         before = cycle.copy()
         amplitudes = np.array([1.0, 0.0])
         absorbing_cycles(cycle, [1], amplitudes, 4)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenodense import zeno
 from zenodense.bell import ALL_BELL_STATES, COMPOSITE_LABELS, BellState
 from zenodense.core import PureState
 from zenodense.ifm import AbsorberState
 from zenodense.zeno import (
     DISCARDED,
-    CycleChannel,
     cycle_survival,
     dqz_apply,
     dqz_asymptotic,
-    dqz_cycle_channel,
+    dqz_cycle_operator,
     dqz_element_sim,
     dqz_element_survival,
     post_gate_target,
@@ -29,27 +29,27 @@ def photon(alpha, beta):
     return PureState(POL, [alpha, beta])
 
 
-class TestCycleChannel:
-    def test_rejects_a_non_orthogonal_or_misshapen_operator(self):
-        skewed = np.eye(4)
-        skewed[2, 3] = 1e-6
+class TestCycleOperator:
+    def test_rejects_a_non_orthogonal_operator(self, monkeypatch):
+        # Both pass rows on one slot: K keeps cos(theta) on the diagonal and no rotation.
+        monkeypatch.setattr(zeno, "_PASS_V", zeno._PASS_H)
         with pytest.raises(ValueError, match="not orthogonal"):
-            CycleChannel(skewed, 0.5, 2)
-        for shape in [(2, 2), (4,), (4, 3)]:
-            with pytest.raises(ValueError, match="4x4"):
-                CycleChannel(np.ones(shape), 0.5, 2)
+            dqz_cycle_operator(0, 2)
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            dqz_cycle_operator(0, 2)[2, 2] = 0.0
 
     def test_branch_zero_at_two_cycles(self):
-        channel = dqz_cycle_channel(0, 2)
-        assert channel.survival_p == pytest.approx(0.75, abs=1e-15)
+        assert cycle_survival(2) == pytest.approx(0.75, abs=1e-15)
         c = np.cos(np.pi / 4)
         expected = np.eye(4)
         expected[2:, 2:] = [[c, -c], [c, c]]
-        assert np.allclose(channel.operator, expected, atol=1e-12)
+        assert np.allclose(dqz_cycle_operator(0, 2), expected, atol=1e-12)
 
     def test_branch_one_has_opposite_off_diagonal_signs(self):
-        k0 = dqz_cycle_channel(0, 2).operator
-        k1 = dqz_cycle_channel(1, 2).operator
+        k0 = dqz_cycle_operator(0, 2)
+        k1 = dqz_cycle_operator(1, 2)
         assert k0[2, 3] == pytest.approx(-k1[2, 3])
         assert k0[3, 2] == pytest.approx(-k1[3, 2])
         assert np.allclose(k0[:2, :2], np.eye(2))
@@ -58,7 +58,7 @@ class TestCycleChannel:
     @pytest.mark.parametrize("branch", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 33, 64])
     def test_n_cycles_give_exact_quarter_turn_of_pass_subspace(self, branch, n):
-        kn = dqz_cycle_channel(branch, n).n_cycle_operator()
+        kn = np.linalg.matrix_power(dqz_cycle_operator(branch, n), n)
         rotating = kn[2:, 2:]
         quarter = np.array([[0.0, (-1.0) ** (branch + 1)], [(-1.0) ** branch, 0.0]])
         assert np.max(np.abs(rotating - quarter)) < 1e-12
@@ -67,12 +67,12 @@ class TestCycleChannel:
     @pytest.mark.parametrize("branch", [0, 1])
     @pytest.mark.parametrize("n", list(range(1, 65)))
     def test_orthogonality_over_full_cycle_range(self, branch, n):
-        k = dqz_cycle_channel(branch, n).operator
+        k = dqz_cycle_operator(branch, n)
         assert np.max(np.abs(k.T @ k - np.eye(4))) < 1e-12
 
     def test_rejects_bad_branch(self):
         with pytest.raises(ValueError):
-            dqz_cycle_channel(2, 4)
+            dqz_cycle_operator(2, 4)
 
 
 class TestDqzApply:
