@@ -106,7 +106,7 @@ def qz_ancilla_survival(n_cycles):
     N = 1 is degenerate: sin(pi) = 0 makes the formula vacuously 1.
     """
     n = cycle_counts(n_cycles)
-    return (1.0 - 0.75 * np.sin(2.0 * cycle_angle(n)) ** 2) ** n
+    return np.float_power(1.0 - 0.75 * np.sin(2.0 * cycle_angle(n)) ** 2, n)
 
 
 def ifm_family_survival(bell: BellState, n_cycles: int) -> float:

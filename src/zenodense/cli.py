@@ -7,7 +7,8 @@ Subcommands:
     compare  minimal cycle counts and resource needs to hit a target throughput
     selftest run the invariant suite; exit 0 iff everything passes
 
-Exit codes: 0 success, 1 self-test failure, 2 argument error, 3 I/O error.
+Exit codes: 0 success, 1 self-test failure, 2 argument error (a bad SDC_THREADS
+included), 3 I/O error.
 All randomness flows from --seed; SDC_THREADS (positive integer, capped at
 the CPUs the process may run on, its affinity mask) sets shot and row
 parallelism without changing a single drawn number.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -258,6 +260,7 @@ def uint64(text: str) -> int:
     return seed
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenodense",
@@ -318,7 +321,10 @@ def main(argv=None) -> int:
             if not 0.0 < args.target_r < 2.0:
                 parser.error("--target-r must lie strictly between 0 and 2")
             return cmd_compare(args.target_r, args.format, args.out)
-        # The subcommand is required, so the only one left is selftest.
+        # The subcommand is required, so the only one left is selftest. Its
+        # analytic-vs-mc check reads SDC_THREADS: a bad value is a usage
+        # error, not a failed check.
+        protocol._resolve_threads(None)
         return run_selftest(args.inject_fault)
     except OSError as exc:
         print(f"zenodense: I/O error: {exc}", file=sys.stderr)

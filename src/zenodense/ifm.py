@@ -12,8 +12,6 @@ this machinery.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import ALGEBRA_TOL, OutcomeDistribution, PureState
@@ -71,22 +69,13 @@ class AbsorberState:
                 f"block={self.block_amplitude:.4g})")
 
 
-# libm's pow applied element by element. numpy's power ufunc evaluates an
-# array with its own vectorized pow, which can differ from libm by one ulp
-# (cos^{2N} at N = 36, 78, 81, ... with numpy 2.4 on AVX-512); a scalar `**`
-# calls libm.
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
-
-
 def blocked_survival(n_cycles):
     """Closed-form survival cos^{2N}(pi/2N) of the blocked chain.
 
-    Takes a cycle count or an array of them. The power is libm's `pow` for
-    every element, so an array gives each N bit for bit the value a single
-    cycle count gives.
+    Takes a cycle count or an array of them.
     """
     n = cycle_counts(n_cycles)
-    return np.asarray(_libm_pow(np.cos(cycle_angle(n)), 2 * n), dtype=float)[()]
+    return np.float_power(np.cos(cycle_angle(n)), 2 * n)
 
 
 def blocked_survival_sim(n_cycles: int) -> float:
@@ -115,7 +104,7 @@ def ifm_evolve(n_cycles: int, n_done: int, blocked: bool) -> tuple[PureState, fl
         raise ValueError("need 1 <= n_done <= n_cycles")
     if blocked:
         state = PureState.basis(PATH_LABELS, "a")
-        survival = float(np.cos(theta) ** (2 * n_done))
+        survival = float(np.float_power(np.cos(theta), 2 * n_done))
         return state, survival
     turned = n_done * theta
     state = PureState(PATH_LABELS, [np.cos(turned), np.sin(turned)])

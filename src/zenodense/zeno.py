@@ -54,9 +54,10 @@ def cycle_survival(n_cycles):
 
 def channel_survival(n_cycles):
     """P^N, the weight N channel cycles keep for every Bell input, over a cycle count or
-    an array of them: numpy's power runs for both, so each element equals its N's alone."""
+    an array of them: libm's pow per element, as every closed form takes its power
+    (np.float_power, no SIMD dispatch), so each element is its N's alone on any CPU."""
     n = cycle_counts(n_cycles)
-    return cycle_survival(n) ** n
+    return np.float_power(cycle_survival(n), n)
 
 
 def dqz_cycle_operator(branch_index: int, n_cycles: int) -> np.ndarray:

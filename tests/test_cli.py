@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import threading
@@ -11,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenodense import cli, invariants, metrics, protocol, zeno
 from zenodense.analyzers import AnalyzerKind, BellState, DetectorPair
@@ -742,3 +745,102 @@ class TestThreadEnv:
         a, b = json.loads(threaded), json.loads(serial)
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_invalid_sdc_threads_is_a_usage_error_for_selftest_too(self, capsys, monkeypatch,
+                                                                   threads):
+        # Not a failed analytic-vs-mc check with a traceback and exit 1.
+        monkeypatch.setenv("SDC_THREADS", threads)
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 2 and out == ""
+        assert err.startswith("zenodense: ") and err.count("\n") == 1
+
+
+class TestParser:
+    VALID = [["sweep", "--analyzer=dqz", "--n-min=1", "--n-max=2"],
+             ["run", "--analyzer=ifm", "--n=3", "--shots=5"],
+             ["compare", "--target-r=1.8"],
+             ["selftest"]]
+
+    def test_one_parser_serves_every_call(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("failing", [
+        ["sweep", "--analyzer=qz", "--n-min=5", "--shots=9", "--format=json"],
+        ["sweep", "--analyzer=qz", "--n-min=5", "--n-max=2", "--shots=9", "--format=json"],
+    ], ids=["missing-option", "bad-range"])
+    def test_a_usage_error_leaves_the_next_call_parsed_afresh(self, capsys, failing):
+        with pytest.raises(SystemExit) as exc:
+            main(failing)
+        assert exc.value.code == 2
+        fresh = cli._build_parser.__wrapped__()
+        for argv in self.VALID:
+            assert cli._build_parser().parse_args(argv) == fresh.parse_args(argv)
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *self.VALID[0])
+        assert code == 0
+        assert out.splitlines()[0] == CSV_HEADER and out.endswith(",,,,\n")
+
+
+# The argument grammar: each option's values in range, its values out of
+# range or malformed, and whether it is required. Shots stay at most 10**4
+# and sweeps at most 30 cycle counts, so a call takes milliseconds; the
+# program itself does not bound --shots.
+_N = st.integers(1, 30)
+_SHOTS = (st.integers(1, 10**4), st.sampled_from([0, -2]))
+_SEED = (st.integers(0, 2**64 - 1), st.sampled_from(["-1", str(2**64), "x"]))
+_FORMAT = (st.sampled_from(["csv", "json"]), st.just("xml"))
+_OUT = (st.sampled_from(["{tmp}/out.txt", "-"]), st.sampled_from(["{tmp}", "{tmp}/missing/out.txt"]))
+_GRAMMAR = {
+    "sweep": [("--analyzer", st.sampled_from(["dqz", "ifm", "qz", "all"]), st.just("xyz"), True),
+              ("--n-min", _N, st.sampled_from([0, -1, 10**6 + 1]), True),
+              ("--n-max", _N, st.sampled_from([0, 10**6 + 1, 10**400]), True),
+              ("--shots", *_SHOTS, False), ("--seed", *_SEED, False),
+              ("--format", *_FORMAT, False), ("--out", *_OUT, False)],
+    "run": [("--analyzer", st.sampled_from(["dqz", "ifm", "qz"]), st.just("all"), True),
+            ("--n", st.one_of(_N, st.just(10**6)), st.sampled_from([0, 10**6 + 1]), True),
+            ("--shots", *_SHOTS, True), ("--seed", *_SEED, False),
+            ("--message", st.sampled_from(["uniform", "00", "01", "10", "11"]),
+             st.sampled_from(["2", ""]), False),
+            ("--out", *_OUT, False)],
+    "compare": [("--target-r", st.floats(0, 2, exclude_min=True, exclude_max=True),
+                 st.sampled_from([math.nan, math.inf, 0.0, 2.0, -1.0, 1e300]), True),
+                ("--format", *_FORMAT, False), ("--out", *_OUT, False)],
+    "selftest": [("--inject-fault", st.just("k-sign"), st.just("x"), False)],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    options = [option for option in _GRAMMAR[command] if option[3] or draw(st.booleans())]
+    values = [good for _, good, _, _ in options]
+    # Half the calls are well formed; the rest have one value out of range or
+    # malformed, one argument missing, or a stray argument.
+    fault = draw(st.integers(0, 5))
+    if fault == 3 and options:
+        index = draw(st.integers(0, len(options) - 1))
+        values[index] = options[index][2]
+    argv = [command] + [f"{flag}={draw(v)}" for (flag, *_), v in zip(options, values)]
+    if fault == 4:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if fault == 5:
+        argv.append(draw(st.sampled_from(["--bogus", "stray"])))
+    return argv
+
+
+class TestGrammar:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_calls(), threads=st.sampled_from(["", "0", "-3", "abc", "1", "2"]))
+    def test_every_call_ends_in_a_documented_exit_code(self, capsys, monkeypatch, tmp_path,
+                                                       argv, threads):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        monkeypatch.setenv("SDC_THREADS", threads)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in ((0, 1, 2, 3) if argv[:1] == ["selftest"] else (0, 2, 3)), (argv, err)
+        assert "Traceback" not in err, (argv, err)

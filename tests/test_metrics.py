@@ -42,7 +42,8 @@ class TestAnalyticThroughput:
         assert r_analytic(QZ, 71) == pytest.approx(1.8019732208, abs=1e-9)
 
     def test_ifm_values_pinned_in_every_output(self, capsys):
-        # libm's pow; numpy's vectorized pow gives one ulp less at these N.
+        # libm's pow, which every closed form takes (np.float_power); numpy's
+        # SIMD `**` on an AVX-512 host gives one ulp less at these N.
         pinned = {36: "0x1.de5caaa4067fbp+0", 78: "0x1.f01e7777a161ap+0",
                   81: "0x1.f0b234c1b0ec0p+0"}
         curve = efficiency_curve(IFM, 1, 100).r_values

@@ -703,8 +703,10 @@ class TestRunRows:
         assert list(run_rows(iter(rows), shots, 5, threads=2)) == expected
         assert len(made) == pools
 
-    # A log grid of N up to 1e6, with the N at which numpy's vectorized pow
-    # was one ulp below libm's for the ifm Phi law (7332208221475705 at N = 18).
+    # A log grid of N up to 1e6, with N at which numpy's SIMD `**` on an
+    # AVX-512 host is one ulp below libm's pow, which every law takes through
+    # np.float_power (with `**`, the ifm Phi threshold at N = 18 reads
+    # 7332208221475705).
     THRESHOLD_NS = (18, 36, 51, *np.unique(np.geomspace(1, 10**6, 400).astype(int)).tolist())
 
     @pytest.mark.parametrize("message", [None, "10"])
