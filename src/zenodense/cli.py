@@ -111,7 +111,7 @@ def _sweep_blocks(analyzers: list[AnalyzerKind], n_min: int, n_max: int,
         return
     rows = ((kind, n, _STREAM_TAG_BASE[kind] + n)
             for kind in analyzers for n in range(n_min, n_max + 1))
-    # Closing this generator closes the runner, which stops its pool.
+    # Closing this generator closes the runner, whose helper threads then take no further unit.
     with contextlib.closing(protocol.run_rows(rows, shots, seed)) as estimates:
         for estimate in estimates:
             kind, n = estimate.analyzer, estimate.n_cycles
@@ -136,7 +136,7 @@ def cmd_sweep(analyzers: list[AnalyzerKind], n_min: int, n_max: int, shots: int 
               seed: int, fmt: str, out: str | None) -> int:
     _warn_degenerate(analyzers, n_min)
     blocks = _sweep_blocks(analyzers, n_min, n_max, shots, seed)
-    # Closing the blocks first stops the runner's pool when a write fails.
+    # Closing the blocks first stops the runner's helper threads when a write fails.
     with _replacing_out(out) as stream, contextlib.closing(blocks):
         # Each block is written once computed: a CSV block in one write, a
         # JSON record (five times a CSV line) in one write each. The bytes

@@ -24,14 +24,12 @@ each equals a plain tuple of the same values, and iterates and unpacks as one.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 import os
 import threading
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -184,7 +182,8 @@ def _resolve_threads(threads: int | None) -> int:
 
     Capped at the CPUs this process may run on (its affinity mask where the
     platform has one, else the CPU count): one thread per core is the most
-    the tally can use, and the cap bounds the pool however large the request.
+    the tally can use, and the cap bounds the helper threads of a call
+    (threads - 1) however large the request.
     """
     if threads is None:
         env = os.environ.get("SDC_THREADS", "").strip()
@@ -202,18 +201,19 @@ def _resolve_threads(threads: int | None) -> int:
 
 _CHUNK_SHOTS = 1 << 16  # shots per work unit at most
 
-# Rows of fewer shots run inline whatever the thread count: their Python work
-# holds the interpreter lock, however many rows a unit packs, and outweighs the
-# draws a pool overlaps (on 2 threads of a 2-vCPU VM; BENCH_pool_rows.json).
+# Rows of fewer shots run on the calling thread alone whatever the thread
+# count: their Python work holds the interpreter lock, however many rows a unit
+# packs, and outweighs the draws helper threads overlap (on 2 threads of a
+# 2-vCPU VM; BENCH_pool_rows.json).
 _POOL_ROW_SHOTS = 2_000
 
 # Rows planned together: enough to spread the closed forms' per-call cost
 # thin, few enough that the rows and units in hand stay under 64 KiB.
 _BATCH_ROWS = 64
 
-# Units in flight per worker thread: enough to keep every worker busy while
-# the caller takes a finished row, few enough that a failure stops the run
-# after little wasted work.
+# Units taken and not yet settled, per thread (the caller and each helper):
+# enough to keep every thread busy while the caller hands out a finished row,
+# few enough that a failure stops the run after little wasted work.
 _WINDOW_PER_THREAD = 2
 
 
@@ -375,6 +375,112 @@ def _run_unit(master_seed: int, unit) -> list[int]:
     return counts
 
 
+class _Fanout:
+    """The work units of one `run_rows` call, taken in turn under one lock by the
+    calling thread and its helper threads, and held once run until the caller
+    settles them in unit order.
+
+    A unit's index is its place in the order `_units` yields them, whoever
+    takes it. The exception its plan or its run raises is held in its place,
+    for the caller to raise there. At most `window` units are taken and not yet
+    settled, and none is taken once the units run out, one fails or the caller
+    stops.
+    """
+
+    def __init__(self, units: Iterator, master_seed: int, window: int):
+        self._units = units
+        self._master_seed = master_seed
+        self._window = window
+        self._lock = threading.Condition(threading.Lock())
+        self._done = {}  # unit index -> (unit, its counts), or the exception it raised
+        self._taken = 0  # units taken: the next one taken has this index
+        self._settled = 0  # units settled: the next one settled has this index
+        self._stopped = False
+
+    def _take(self):
+        """(index, unit) of the next unit, or None when none may be taken now. Lock held."""
+        if self._stopped or self._taken - self._settled >= self._window:
+            return None
+        try:
+            unit = next(self._units, None)
+        except BaseException as error:  # its plan failed: raised by the caller in its place
+            self._done[self._taken] = error
+            self._taken += 1
+            unit = None
+        if unit is None:
+            self._stopped = True
+            self._lock.notify_all()
+            return None
+        self._taken += 1
+        return self._taken - 1, unit
+
+    def _run(self, index: int, unit) -> None:
+        try:
+            result = unit, _run_unit(self._master_seed, unit)
+        except BaseException as error:  # raised by the caller in its place
+            result = error
+        with self._lock:
+            self._done[index] = result
+            self._stopped |= isinstance(result, BaseException)
+            self._lock.notify_all()
+
+    def _help(self, task) -> None:
+        """A helper thread: run `task`, if any, then take units until none may be taken."""
+        while True:
+            if task:
+                self._run(*task)
+            with self._lock:
+                while not self._stopped and self._taken - self._settled >= self._window:
+                    self._lock.wait()
+                task = self._take()
+            if not task:
+                return
+
+    def start(self, helpers: int):
+        """The caller's first unit to run, and the helper threads started: `helpers` of
+        them, the first running the second unit, if there is a second unit."""
+        with self._lock:
+            first = self._take()
+            second = self._take() if helpers else None
+        if not second:
+            return first, []
+        # Daemons: a runner dropped unclosed at exit must not hold the interpreter up.
+        started = [threading.Thread(target=self._help, args=(second if k == 0 else None,),
+                                    daemon=True) for k in range(helpers)]
+        for thread in started:
+            thread.start()
+        return first, started
+
+    def results(self, task):
+        """Each unit's (unit, counts), in unit order. The caller runs `task`, then takes
+        and runs units itself while the next one to settle is not done."""
+        while True:
+            if task:
+                self._run(*task)
+            with self._lock:
+                task = None
+                while (result := self._done.pop(self._settled, None)) is None:
+                    if task := self._take():
+                        break
+                    if self._settled == self._taken:
+                        return  # every unit is settled, and none is left to take
+                    if self._settled not in self._done:  # a failed plan is in place at once
+                        self._lock.wait()
+                else:
+                    self._settled += 1
+                    self._lock.notify_all()
+            if isinstance(result, BaseException):
+                raise result
+            if result:
+                yield result
+
+    def stop(self) -> None:
+        """Let no thread take a further unit; those running finish on their own."""
+        with self._lock:
+            self._stopped = True
+            self._lock.notify_all()
+
+
 def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
              message: str | None = None,
              threads: int | None = None) -> Iterator[EfficiencyEstimate]:
@@ -383,38 +489,31 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
     Each row is (analyzer, n_cycles, stream_tag) and draws from the stream
     its tag names; consecutive rows of a batch on one stream draw its words
     once and share them. Rows are planned a bounded batch at a time, as they
-    are needed, so a row whose plan fails (a cycle count that
-    `optics.cycle_counts` rejects, a non-finite survival) fails its batch
-    before any row of it is yielded; they are packed into
-    work units of at most 2**16 shots (see `_units`). With more than one
-    thread (the argument, else SDC_THREADS) and rows of _POOL_ROW_SHOTS
-    shots or more, the units run on a pool made when a second unit appears,
-    a bounded window of them in flight; an exception, in a unit or in the
-    caller, cancels the units not yet started. Otherwise they run in turn on
-    the calling thread. Every row's counts are an order-independent sum over
-    its units, so the results do not depend on the thread count, and memory
-    grows with neither the row count nor `shots`.
+    are needed, and packed into work units of at most 2**16 shots (see
+    `_units`). The calling thread takes the units in turn and runs them. With
+    more than one thread (the argument, else SDC_THREADS) and rows of
+    _POOL_ROW_SHOTS shots or more, threads - 1 helper threads, started when
+    a second unit appears, take units beside it, at most
+    _WINDOW_PER_THREAD * threads of them taken and not yet settled; the
+    caller settles them in unit order. A row whose plan fails (a cycle count
+    that `optics.cycle_counts` rejects, a non-finite survival) fails its
+    batch, and a unit that raises fails itself: the exception is raised in
+    that unit's place, after every earlier row. Once a unit fails, or the
+    caller fails or closes the generator, no thread takes a further unit,
+    and a helper ends once it has none to run. Every row's counts are an order-independent
+    sum over its units, so the results do not depend on the thread count,
+    and memory grows with neither the row count nor `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if message is not None and message not in MESSAGES:
         raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
     threads = _resolve_threads(threads)
-    units = _units(rows, shots, message)
-    # Peek at a second unit before making a pool: a lone unit runs inline.
-    head = list(itertools.islice(units, 1 if threads == 1 or shots < _POOL_ROW_SHOTS else 2))
-    pool = ThreadPoolExecutor(max_workers=threads) if len(head) > 1 else None
-    window = _WINDOW_PER_THREAD * threads if pool else 0
-    in_flight = collections.deque()  # (unit, its future or counts), oldest first
+    fanout = _Fanout(_units(rows, shots, message), master_seed, _WINDOW_PER_THREAD * threads)
+    first, helpers = fanout.start(threads - 1 if shots >= _POOL_ROW_SHOTS else 0)
     survived = []  # per row, the survivors in the finished pieces of the oldest unfinished group
-
-    def settle(limit):
-        # Take the oldest units until at most `limit` are in flight, and
-        # yield the rows of each group whose last piece that finishes.
-        nonlocal survived
-        while len(in_flight) > limit:
-            (batch, _, pieces), counts = in_flight.popleft()
-            counts = counts.result() if pool else counts
+    try:
+        for (batch, _, pieces), counts in fanout.results(first):
             k = 0  # the piece's first count
             for i, j, start, count in pieces:
                 group_counts = counts[k:k + j - i]
@@ -424,20 +523,10 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
                 if start + count == shots:
                     for (analyzer, n_cycles, _), s in zip(batch[i:j], survived):
                         yield _estimate(analyzer, n_cycles, shots, s)
-
-    try:
-        for unit in itertools.chain(head, units):
-            in_flight.append((unit, pool.submit(_run_unit, master_seed, unit) if pool
-                              else _run_unit(master_seed, unit)))
-            yield from settle(window)
-        yield from settle(0)
-    except BaseException:
-        if pool:
-            # Units already running finish on their own; their counts are dropped.
-            pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    if pool:
-        pool.shutdown()
+    finally:
+        fanout.stop()
+    for helper in helpers:  # each has taken its last unit: it ends at once
+        helper.join()
 
 
 def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,

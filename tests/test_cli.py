@@ -202,8 +202,8 @@ class TestSweep:
     def analytic_sweep_peak(path, n_max, *argv):
         out = f"--out={path}"
         assert main(["sweep", "--analyzer=all", "--n-min=1", "--n-max=10", out, *argv]) == 0
-        # tracemalloc counts every thread: let the units an earlier test left
-        # running on a shut-down pool finish first.
+        # tracemalloc counts every thread: let the helpers an earlier test left
+        # finishing their last unit end first.
         for thread in threading.enumerate():
             if thread is not threading.current_thread():
                 thread.join(30)
@@ -307,7 +307,7 @@ class TestSweep:
                                                                  tmp_path, threads):
         # At the default batch size rows 1 to 64 are planned together, then
         # rows 65 to 100: row 70's non-finite survival fails the second batch
-        # before any of its rows is drawn.
+        # before any of its rows is drawn, and after every row of the first.
         monkeypatch.setenv("SDC_THREADS", threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         target = tmp_path / "sweep.out"
@@ -325,11 +325,11 @@ class TestSweep:
         monkeypatch.setattr(protocol, "shot_uniforms", drawing)
         code, _, err = run_cli(capsys, "sweep", "--analyzer=dqz", "--n-min=1", "--n-max=100",
                                f"--shots={protocol._POOL_ROW_SHOTS}", f"--out={target}")
-        for worker in workers - {threading.current_thread()}:  # units left running
+        for worker in workers - {threading.current_thread()}:  # helpers finishing a unit
             worker.join(30)
+            assert not worker.is_alive()
         assert code == 2 and "finite" in err
-        batch = set(range(1, protocol._BATCH_ROWS + 1))
-        assert drawn == batch if threads == "1" else drawn <= batch
+        assert drawn == set(range(1, protocol._BATCH_ROWS + 1))
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
 
@@ -338,14 +338,14 @@ class TestSweep:
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_pooled_sweep_leaves_the_target_as_it_was(self, capsys, monkeypatch,
                                                              tmp_path, fmt, error, seam):
-        # Each row has two units. The units of rows from `held_from` on wait
-        # until the sweep has returned, and the failure comes once two of
-        # them hold both workers, so a unit still queued then stays unstarted
-        # only if the failure cancels it.
-        #   plan:   the runner's plan for row 3 fails; row 1's units hold the
-        #           workers and row 2's are queued.
-        #   write:  computing row 1's text fails; row 2's units hold the
-        #           workers and row 3's are queued.
+        # Each row has two units, and a helper thread takes units beside the
+        # calling thread. The helper's units of rows from `held_from` on wait
+        # at a gate; the caller's never do.
+        #   plan:   the runner's plan for row 3 fails and opens the gate; the
+        #           failure comes after rows 1 and 2 have reached the sweep.
+        #   write:  computing row 1's text fails once the helper waits at the
+        #           gate, which opens only after the sweep has returned, so a
+        #           unit still untaken then must never start.
         #   stream: the stream's write of row 1 fails; the same units wait.
         held_from, fail_row = (1, 3) if seam == "plan" else (2, 1)
         monkeypatch.setenv("SDC_THREADS", "2")
@@ -353,7 +353,7 @@ class TestSweep:
         target = tmp_path / "sweep.out"
         target.write_text("earlier result\n")
         events, workers = [], set()
-        two_held, release = threading.Semaphore(0), threading.Event()
+        held, release = threading.Semaphore(0), threading.Event()
         real_uniforms = protocol.shot_uniforms
         real_plans = protocol._tally_plans
         real_r_analytic = metrics.r_analytic
@@ -361,14 +361,17 @@ class TestSweep:
         def held_uniforms(seed, start, count, tag=0):
             n = tag % (1 << 32)
             events.append(("unit", n, start))
-            if n >= held_from:
+            if n >= held_from and threading.current_thread() is not threading.main_thread():
                 workers.add(threading.current_thread())
-                two_held.release()
+                held.release()
                 assert release.wait(30)
             return real_uniforms(seed, start, count, tag)
 
         def fail(n):
-            assert two_held.acquire(timeout=30) and two_held.acquire(timeout=30)
+            if seam == "plan":
+                release.set()
+            else:
+                assert held.acquire(timeout=30)
             events.append(("failed", n))
             raise error(f"row {n} failed")
 
@@ -378,6 +381,7 @@ class TestSweep:
             return real_plans(batch, message)
 
         def failing_r_analytic(kind, n):
+            events.append(("row", n))
             if seam == "write" and n == fail_row:
                 fail(n)
             return real_r_analytic(kind, n)
@@ -387,7 +391,7 @@ class TestSweep:
                 fail(1)
 
         monkeypatch.setattr(protocol, "shot_uniforms", held_uniforms)
-        monkeypatch.setattr(protocol, "_BATCH_ROWS", 1)  # row 3 is planned after row 2 is sent
+        monkeypatch.setattr(protocol, "_BATCH_ROWS", 1)  # row 3 is planned after row 2's units
         monkeypatch.setattr(protocol, "_tally_plans", failing_plans)
         monkeypatch.setattr(metrics, "r_analytic", failing_r_analytic)
         check_output_writes(monkeypatch, failing_stream)
@@ -398,24 +402,37 @@ class TestSweep:
         try:
             if error is KeyboardInterrupt:
                 # Holding the traceback keeps the sweep's frame and its runner
-                # alive, so the units must be cancelled before it is collected.
+                # alive, so the units must be stopped before it is collected.
                 with pytest.raises(KeyboardInterrupt) as excinfo:
                     main(argv)
             else:
                 assert run_cli(capsys, *argv)[0] == 2
         finally:
             release.set()
+        assert workers
         for worker in workers:
             worker.join(30)
             assert not worker.is_alive()
         assert excinfo is None or str(excinfo.value) == f"row {fail_row} failed"
         assert target.read_text() == "earlier result\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.out"]
-        assert events[-1] == ("failed", fail_row)
-        assert sorted(events[:-1]) == [("unit", n, start) for n in range(1, held_from + 1)
-                                       for start in (0, protocol._CHUNK_SHOTS)]
+        # No unit starts after the failure, and the units started are the
+        # first ones: every unit taken before it, and no other.
+        units = [event for event in events if event[0] == "unit"]
+        assert events.index(("failed", fail_row)) > events.index(units[-1])
+        in_order = [("unit", n, start) for n in range(1, 7) for start in (0, protocol._CHUNK_SHOTS)]
+        assert sorted(units) == in_order[:len(units)]
+        if seam == "plan":
+            # Rows 1 and 2 were taken before row 3's plan and come out before its failure.
+            assert len(units) == 4
+            assert [e for e in events if e[0] != "unit"] == [("failed", 3), ("row", 1), ("row", 2)]
+        else:
+            # Row 1 is out; the helper waits in a unit of a later row, and at
+            # most _WINDOW_PER_THREAD * 2 units were taken beyond row 1's.
+            assert 2 < len(units) <= 2 + 2 * protocol._WINDOW_PER_THREAD
+            assert [e for e in events if e[0] != "unit"] == [("row", 1), ("failed", 1)]
 
-    # sha256 of the output bytes, recorded before the rows shared a pool.
+    # sha256 of the output bytes, recorded before rows were shared out among threads.
     POOLED_GRIDS = [
         (["--n-min=1", "--n-max=8", "--shots=20000", "--seed=3"],
          "15efb27c87ce9f0922f610d2c0e45a9b5239c5d5028163e2f7805bbd438cccc8"),

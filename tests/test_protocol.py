@@ -7,6 +7,7 @@ import os
 import pickle
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -567,7 +568,7 @@ class TestRunRows:
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        # Two threads must reach the pool even on a one-CPU machine.
+        # Two threads must start a helper even on a one-CPU machine.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @pytest.mark.parametrize("shots", [1, 2_000, 20_000, 70_000])
@@ -588,17 +589,79 @@ class TestRunRows:
                  for n in (1, 2, 18, 36, 51, 12345, 10**6)]
     GRID_SHOTS = (1, 2_000, 21_845, 21_846, 32_768, 65_535, 65_536, 65_537, 70_000)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_equal_the_recorded_digest(self, two_cpus, threads):
+    def grid_digest(self, threads):
         digest = hashlib.sha256()
         for shots in self.GRID_SHOTS:
             for message in (None, "10"):
-                for e in run_rows(self.GRID_ROWS, shots, 11, message=message, threads=threads):
+                estimates = list(run_rows(self.GRID_ROWS, shots, 11, message=message,
+                                          threads=threads))
+                assert [(e.analyzer, e.n_cycles) for e in estimates] == [
+                    (kind, n) for kind, n, _ in self.GRID_ROWS]
+                for e in estimates:
                     digest.update(
                         f"{e.analyzer.value},{e.n_cycles},{e.shots},{e.r_hat.hex()},"
                         f"{e.ci95[0].hex()},{e.ci95[1].hex()},{e.lost_fraction.hex()},"
                         f"{e.decode_error_count},{e.correct}\n".encode())
-        assert digest.hexdigest() == self.GRID_DIGEST
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_the_recorded_digest(self, two_cpus, threads):
+        assert self.grid_digest(threads) == self.GRID_DIGEST
+
+    def test_units_finished_out_of_order_keep_the_digest(self, two_cpus, monkeypatch):
+        # A helper's draws sleep first, so the calling thread finishes later
+        # units before earlier ones; rows still come out in row order.
+        caller, real_uniforms = threading.current_thread(), protocol.shot_uniforms
+        row_of = {tag: row for row, (_, _, tag) in enumerate(self.GRID_ROWS)}
+        finished = []  # (row, first shot) of each draw, as the draws finish
+
+        def slow_helpers(seed, start, count, tag=0):
+            if threading.current_thread() is not caller:
+                time.sleep(0.005)
+            words = real_uniforms(seed, start, count, tag)
+            finished.append((row_of[tag], start))
+            return words
+
+        monkeypatch.setattr(protocol, "shot_uniforms", slow_helpers)
+        assert self.grid_digest(2) == self.GRID_DIGEST
+        finished.clear()
+        list(run_rows(self.GRID_ROWS, 70_000, 11, threads=2))
+        assert finished != sorted(finished)
+
+    def test_every_helper_takes_units(self, monkeypatch):
+        # At three threads the first three units run at once: the caller's,
+        # the one the first helper is handed, and one the second helper takes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        barrier, real_uniforms = threading.Barrier(3, timeout=30), protocol.shot_uniforms
+        drawers = []
+
+        def meeting(seed, start, count, tag=0):
+            drawers.append(threading.current_thread())
+            if len(drawers) <= 3:
+                barrier.wait()
+            return real_uniforms(seed, start, count, tag)
+
+        rows = [(AnalyzerKind.QZ, 7, tag) for tag in range(6)]  # a unit each
+        expected = list(run_rows(rows, 40_000, 2, threads=1))
+        drawers.clear()
+        monkeypatch.setattr(protocol, "shot_uniforms", meeting)
+        assert list(run_rows(rows, 40_000, 2, threads=3)) == expected
+        assert len(set(drawers[:3])) == 3
+
+    def test_many_helpers_at_a_short_switch_interval_keep_every_count(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter can:
+        # a lost update to the shared unit state would lose or repeat a unit.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        rows = [(kind, n, tag) for tag, (kind, n) in
+                enumerate((kind, n) for n in (2, 18, 36, 12345) for kind in ALL_KINDS)]
+        expected = list(run_rows(rows, 40_000, 9, threads=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert list(run_rows(rows, 40_000, 9, threads=6)) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -665,43 +728,49 @@ class TestRunRows:
         assert draws == [(tag, start, count) for _, _, tag in sweep for start, count in chunks]
 
     @pytest.fixture
-    def made(self, monkeypatch):
-        """The pools `run_rows` makes, in order."""
-        made = []
+    def helpers(self, monkeypatch):
+        """The helper threads `run_rows` starts, in the order they begin."""
+        started = []
+        real_help = protocol._Fanout._help
 
-        class CountingPool(protocol.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
+        def counting(fanout, task):
+            started.append(threading.current_thread())
+            return real_help(fanout, task)
 
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
-        return made
+        monkeypatch.setattr(protocol._Fanout, "_help", counting)
+        return started
 
     # shots per row 2**14 packs the four rows in one unit; one more shot takes two.
-    @pytest.mark.parametrize("shots, pools", [(2**14, 0), (2**14 + 1, 1), (70_000, 1)])
-    def test_one_pool_per_call_and_only_from_the_second_unit(self, two_cpus, made,
-                                                             shots, pools):
-        assert len(list(run_rows(self.ROWS, shots, 5, threads=2))) == len(self.ROWS)
-        assert len(list(run_rows(iter(self.ROWS), shots, 5, threads=2))) == len(self.ROWS)
-        assert len(made) == 2 * pools
+    @pytest.mark.parametrize("shots, calls", [(2**14, 0), (2**14 + 1, 1), (70_000, 1)])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_helpers_start_only_from_the_second_unit(self, monkeypatch, helpers, threads,
+                                                     shots, calls):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)),
+                            raising=False)
+        assert len(list(run_rows(self.ROWS, shots, 5, threads=threads))) == len(self.ROWS)
+        assert len(list(run_rows(iter(self.ROWS), shots, 5, threads=threads))) == len(self.ROWS)
+        assert len(helpers) == 2 * calls * (threads - 1)
         # One row of one unit has nothing to share out, from a list or an iterator.
         one_unit = min(shots, protocol._CHUNK_SHOTS)
-        simulate(AnalyzerKind.DQZ, 12, one_unit, 5, threads=2)
-        assert len(list(run_rows(iter(self.ROWS[:1]), one_unit, 5, threads=2))) == 1
-        assert len(made) == 2 * pools
+        simulate(AnalyzerKind.DQZ, 12, one_unit, 5, threads=threads)
+        assert len(list(run_rows(iter(self.ROWS[:1]), one_unit, 5, threads=threads))) == 1
+        assert len(helpers) == 2 * calls * (threads - 1)
         # One row of two units shares them out.
         assert len(list(run_rows(iter(self.ROWS[:1]), protocol._CHUNK_SHOTS + 1, 5,
-                                 threads=2))) == 1
-        assert len(made) == 2 * pools + 1
+                                 threads=threads))) == 1
+        assert len(helpers) == (2 * calls + 1) * (threads - 1)
+        # Each is a thread of its own, none of them the caller.
+        assert len(set(helpers)) == len(helpers)
+        assert threading.current_thread() not in helpers
 
-    # Three or more units of rows, pooled only from _POOL_ROW_SHOTS shots a row.
-    @pytest.mark.parametrize("shots, pools", [(1, 0), (100, 0), (protocol._POOL_ROW_SHOTS - 1, 0),
+    # Three or more units of rows, shared out only from _POOL_ROW_SHOTS shots a row.
+    @pytest.mark.parametrize("shots, calls", [(1, 0), (100, 0), (protocol._POOL_ROW_SHOTS - 1, 0),
                                               (protocol._POOL_ROW_SHOTS, 1)])
-    def test_rows_of_few_shots_run_inline(self, two_cpus, made, shots, pools):
+    def test_rows_of_few_shots_run_inline(self, two_cpus, helpers, shots, calls):
         rows = [(AnalyzerKind.IFM, 18, tag) for tag in range(3 * protocol._BATCH_ROWS)]
         expected = list(run_rows(rows, shots, 5, threads=1))
         assert list(run_rows(iter(rows), shots, 5, threads=2)) == expected
-        assert len(made) == pools
+        assert len(helpers) == calls
 
     # A log grid of N up to 1e6, with N at which numpy's SIMD `**` on an
     # AVX-512 host is one ulp below libm's pow, which every law takes through
@@ -743,18 +812,67 @@ class TestRunRows:
             _survival_threshold(bad)
         assert [e.n_cycles for e in run_rows(rows[:2], 100, 1)] == [5, 6]
 
-    def test_a_failing_unit_reaches_the_caller(self, monkeypatch, two_cpus):
+    @pytest.mark.parametrize("seam", ["unit", "plan"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failing_unit_reaches_the_caller(self, monkeypatch, two_cpus, seam, threads):
+        # Rows of 40,000 shots are a unit each, planned one by one, and row 3
+        # fails. The helper's first unit, row 1, waits until the failure, so
+        # the caller runs rows 0, 2 and 3, and rows 4 to 7 are never taken.
+        rows = [(AnalyzerKind.IFM, tag + 1, tag) for tag in range(8)]
+        caller, real_uniforms, real_plans = (threading.current_thread(), protocol.shot_uniforms,
+                                             protocol._tally_plans)
+        started, failed = [], threading.Event()
+
+        def held(seed, start, count, tag=0):
+            started.append(tag)
+            if seam == "unit" and tag == 3:
+                failed.set()
+                raise ValueError("row 3 failed")
+            if threading.current_thread() is not caller:
+                assert failed.wait(30)
+            return real_uniforms(seed, start, count, tag)
+
+        def failing_plans(batch, message):
+            if seam == "plan" and batch[0][2] == 3:
+                failed.set()
+                raise ValueError("row 3 failed")
+            return real_plans(batch, message)
+
+        monkeypatch.setattr(protocol, "_BATCH_ROWS", 1)
+        monkeypatch.setattr(protocol, "shot_uniforms", held)
+        monkeypatch.setattr(protocol, "_tally_plans", failing_plans)
+        got = []
+        with pytest.raises(ValueError, match="row 3 failed"):
+            got.extend(run_rows(rows, 40_000, 5, threads=threads))
+        assert sorted(started) == ([0, 1, 2, 3] if seam == "unit" else [0, 1, 2])
+        # The failure comes in its unit's place, after every earlier row.
+        assert got == [simulate(kind, n, 40_000, 5, stream_tag=tag) for kind, n, tag in rows[:3]]
+
+    @pytest.mark.parametrize("end", ["finished", "closed", "raised"])
+    def test_no_helper_outlives_its_call(self, monkeypatch, two_cpus, helpers, end):
+        before = set(threading.enumerate())
         real_uniforms = protocol.shot_uniforms
 
         def failing(seed, start, count, tag=0):
-            if tag == 1 << 32:
-                raise ValueError("unit failed")
+            if end == "raised" and tag == 5:
+                raise ValueError("row 5 failed")
             return real_uniforms(seed, start, count, tag)
 
         monkeypatch.setattr(protocol, "shot_uniforms", failing)
-        estimates = run_rows(self.ROWS, 20_000, 5, threads=2)
-        with pytest.raises(ValueError, match="unit failed"):
-            list(estimates)
+        rows = [(AnalyzerKind.DQZ, 12, tag) for tag in range(10)]  # a unit each
+        estimates = run_rows(rows, 40_000, 5, threads=2)
+        if end == "finished":
+            assert len(list(estimates)) == len(rows)
+        elif end == "closed":
+            next(estimates)
+            estimates.close()
+        else:
+            with pytest.raises(ValueError, match="row 5 failed"):
+                list(estimates)
+        assert len(helpers) == 1
+        helpers[0].join(5)
+        assert not helpers[0].is_alive()
+        assert set(threading.enumerate()) == before
 
     def test_rejects_bad_arguments(self):
         for shots, message, threads in ((0, None, 1), (10, "22", 1), (10, None, 0)):
@@ -764,8 +882,8 @@ class TestRunRows:
     @staticmethod
     def peak_bytes(run) -> int:
         """tracemalloc's peak while `run()` runs."""
-        # tracemalloc counts every thread: let the units an earlier test left
-        # running on a shut-down pool finish first.
+        # tracemalloc counts every thread: let the helpers an earlier test left
+        # finishing their last unit end first.
         for thread in threading.enumerate():
             if thread is not threading.current_thread():
                 thread.join(30)
