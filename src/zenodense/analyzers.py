@@ -35,7 +35,7 @@ import numpy as np
 from .bell import ALL_BELL_STATES, BellState
 from .core import ACCUMULATION_TOL, OutcomeDistribution, PureState, hadamard
 from .ifm import AbsorberState, blocked_survival
-from .optics import absorbing_cycles, beam_splitter, cycle_angle, cycle_counts
+from .optics import absorbing_cycles, beam_splitter, cycle_angle, cycle_counts, zeno_law
 from .zeno import channel_survival, dqz_apply
 
 ELECTRON_DETECTORS = ("D1", "D2")
@@ -101,12 +101,10 @@ PHOTON_LOST = AnalyzerOutcome.lost()
 
 
 def qz_ancilla_survival(n_cycles):
-    """(1 - 3 sin^2(phi_N)/4)^N; the gate blocks with weight 3/4 each cycle.
-
-    N = 1 is degenerate: sin(pi) = 0 makes the formula vacuously 1.
-    """
-    n = cycle_counts(n_cycles)
-    return np.float_power(1.0 - 0.75 * np.sin(2.0 * cycle_angle(n)) ** 2, n)
+    """(1 - 3 sin^2(phi_N)/4)^N, the Zeno law `optics.zeno_law` at weight 3/4 and harmonic 2
+    (phi_N = 2 theta_N): the gate blocks with weight 3/4 each cycle. N = 1 is degenerate:
+    sin(pi) = 0 makes the formula vacuously 1."""
+    return zeno_law(n_cycles, 0.75, 2.0)
 
 
 def ifm_family_survival(bell: BellState, n_cycles: int) -> float:
@@ -292,7 +290,7 @@ def survival_law(kind: AnalyzerKind, bell: BellState | None, n_cycles) -> np.nda
     over a cycle count or an array of them: the table's law for its family, called.
     Each element equals, bit for bit, the value of its cycle count alone."""
     spec = ANALYZERS[kind if isinstance(kind, AnalyzerKind) else AnalyzerKind(kind)]
-    return spec.survival[None if bell is None else bell.family](cycle_counts(n_cycles))
+    return spec.survival[None if bell is None else bell.family](n_cycles)
 
 
 @functools.lru_cache(maxsize=1024)

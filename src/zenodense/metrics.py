@@ -8,6 +8,10 @@ two-bit messages, with theta_N = pi/(2N) and phi_N = pi/N:
     R_ifm(N) = (cos^{2N}(theta_N) + 1) (1 - sin^2(theta_N)/2)^N
     R_qz(N)  = 2 (1 - 3 sin^2(phi_N)/4)^N
 
+that is, in Zeno laws Z_{c,k} = (1 - c sin^2(k theta_N))^N (`optics.zeno_law`),
+R_dqz = 2 Z_{1/2,1}, R_ifm = (Z_{1,1} + 1) Z_{1/2,1} and R_qz = 2 Z_{3/4,2}, where
+Z_{1,1} is still taken as cos^{2N}(theta_N) (`ifm.blocked_survival`).
+
 All three increase toward 2; the dual-Zeno analyzer dominates the other two
 for every N >= 2. The QZ point N = 1 is a degenerate artifact of sin(pi) = 0
 and is excluded from monotone scans.

@@ -45,6 +45,15 @@ def cycle_angle(n_cycles):
     return np.pi / (2.0 * cycle_counts(n_cycles))
 
 
+def zeno_law(n_cycles, weight: float, harmonic: float):
+    """The Zeno law (1 - weight sin^2(harmonic theta_N))^N of N cycles that each block with
+    that weight, over a cycle count or an array of them: libm's pow per element, as every
+    closed form takes its power (np.float_power, no SIMD dispatch), so each element is its
+    N's alone on any CPU."""
+    n = cycle_counts(n_cycles)
+    return np.float_power(1.0 - weight * np.sin(harmonic * cycle_angle(n)) ** 2, n)
+
+
 def absorbing_cycles(cycle, absorbed, amplitudes, n_cycles: int) -> tuple[np.ndarray, float]:
     """N cycles of the unitary `cycle`, each followed by absorption of the `absorbed` slots.
 

@@ -14,8 +14,7 @@ from `_tally_plans` and read the words by one rule (`_scores`): `run_rows`
 (many rows of a sweep at once, packed into work units of up to 2**16 shots,
 consecutive rows on one stream drawing its words once) and `simulate` (its
 one-row case) count survivors over whole arrays of shots, and `run_protocol`
-looks its shot up among those it decided with its last draw, 64 at a time on
-in-order walks.
+looks its shot up in the aligned block of 64 it decided with its last draw.
 
 Both result records, `RunOutcome` and `EfficiencyEstimate`, are immutable named
 tuples whose every constructor (`_make` and `_replace` too) checks their fields:
@@ -24,6 +23,7 @@ each equals a plain tuple of the same values, and iterates and unpacks as one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -276,8 +276,8 @@ def _tally(master_seed: int, stream_tag: int, start: int, count: int,
     return counts
 
 
-_WINDOW_SHOTS = 64  # shots a call that goes on from the last one decides at once
-_window = threading.local()  # per thread: the shots it decided with its last draw
+_WINDOW_SHOTS = 64  # shots a call decides at once: [64 k, 64 k + 64) for shot 64 k + i
+_window = threading.local()  # per thread: the block of shots it decided with its last draw
 
 
 @functools.lru_cache(maxsize=1024)
@@ -300,10 +300,10 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
 
     Pass message="uniform" to draw the message from the top two bits of the
     shot's word 0. Word 1 decides survival either way, by `run_rows`' own
-    thresholds and rule, so every shot equals its shot in `simulate`. A
-    thread holds the shots it decided, for every message, with its last
-    draw; a call for the shot after them, on the same seed and plan, draws
-    the next _WINDOW_SHOTS shots, any other call one.
+    thresholds and rule, so every shot equals its shot in `simulate`. Shots
+    are drawn in aligned blocks of _WINDOW_SHOTS: a thread holds the block it
+    drew last, decided for every message, and a call for a shot outside it,
+    or on another seed or plan, draws that shot's block.
     """
     analyzer = analyzer if isinstance(analyzer, AnalyzerKind) else AnalyzerKind(analyzer)
     index = _MESSAGE_INDEX.get(message)
@@ -312,15 +312,13 @@ def run_protocol(message: str, analyzer: AnalyzerKind, n_cycles: int, *,
     if shot_index < 0:
         raise ValueError("shot_index must be non-negative")
     plan = _shot_plan(analyzer, n_cycles, m)
-    seed, held, first, sent, kept = getattr(_window, "held", (None, None, 0, (), ()))
-    i = shot_index - first
-    if seed != master_seed or held is not plan or not 0 <= i < len(sent):
-        goes_on = seed == master_seed and held is plan and i == len(sent)
-        words = shot_uniforms(master_seed, shot_index, _WINDOW_SHOTS if goes_on else 1)
+    block, i = divmod(shot_index, _WINDOW_SHOTS)
+    seed, held, held_block, sent, kept = getattr(_window, "held", (None, None, None, (), ()))
+    if seed != master_seed or held is not plan or held_block != block:
+        words = shot_uniforms(master_seed, block * _WINDOW_SHOTS, _WINDOW_SHOTS)
         outcomes, sent = _scores(words, [plan[0]])  # thresholds per message: sent too
         sent, kept = sent.tolist(), (outcomes[:, None] < plan[0]).tolist()
-        _window.held = (master_seed, plan, shot_index, sent, kept)
-        i = 0
+        _window.held = (master_seed, plan, block, sent, kept)
     if index is None:
         index = sent[i]
     message, decoded, bell_estimate, clicks = plan[1][index]
@@ -436,49 +434,45 @@ class _Fanout:
             if not task:
                 return
 
-    def start(self, helpers: int):
-        """The caller's first unit to run, and the helper threads started: `helpers` of
-        them, the first running the second unit, if there is a second unit."""
+    def results(self, helpers: int):
+        """Each unit's (unit, counts), in unit order. If there is a second unit, `helpers`
+        helper threads start, the first running it. The caller runs the first unit, then
+        takes and runs units itself while the next one to settle is not done, and joins the
+        helpers once every unit is settled."""
         with self._lock:
-            first = self._take()
+            task = self._take()
             second = self._take() if helpers else None
-        if not second:
-            return first, []
         # Daemons: a runner dropped unclosed at exit must not hold the interpreter up.
         started = [threading.Thread(target=self._help, args=(second if k == 0 else None,),
-                                    daemon=True) for k in range(helpers)]
+                                    daemon=True) for k in range(helpers if second else 0)]
         for thread in started:
             thread.start()
-        return first, started
-
-    def results(self, task):
-        """Each unit's (unit, counts), in unit order. The caller runs `task`, then takes
-        and runs units itself while the next one to settle is not done."""
-        while True:
-            if task:
-                self._run(*task)
+        try:
+            while True:
+                if task:
+                    self._run(*task)
+                with self._lock:
+                    task = None
+                    while (result := self._done.pop(self._settled, None)) is None:
+                        if (task := self._take()) or self._settled == self._taken:
+                            break  # a unit to run, or none left to take or settle
+                        if self._settled not in self._done:  # a failed plan is in place at once
+                            self._lock.wait()
+                    else:
+                        self._settled += 1
+                        self._lock.notify_all()
+                if isinstance(result, BaseException):
+                    raise result
+                if result:
+                    yield result
+                elif not task:
+                    break  # every unit is settled
+        finally:  # closed, or failed: no thread takes a further unit
             with self._lock:
-                task = None
-                while (result := self._done.pop(self._settled, None)) is None:
-                    if task := self._take():
-                        break
-                    if self._settled == self._taken:
-                        return  # every unit is settled, and none is left to take
-                    if self._settled not in self._done:  # a failed plan is in place at once
-                        self._lock.wait()
-                else:
-                    self._settled += 1
-                    self._lock.notify_all()
-            if isinstance(result, BaseException):
-                raise result
-            if result:
-                yield result
-
-    def stop(self) -> None:
-        """Let no thread take a further unit; those running finish on their own."""
-        with self._lock:
-            self._stopped = True
-            self._lock.notify_all()
+                self._stopped = True
+                self._lock.notify_all()
+        for thread in started:  # each has taken its last unit: it ends at once
+            thread.join()
 
 
 def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_seed: int, *,
@@ -510,10 +504,10 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
         raise ValueError(f"message must be one of {MESSAGES} or None, got {message!r}")
     threads = _resolve_threads(threads)
     fanout = _Fanout(_units(rows, shots, message), master_seed, _WINDOW_PER_THREAD * threads)
-    first, helpers = fanout.start(threads - 1 if shots >= _POOL_ROW_SHOTS else 0)
+    helpers = threads - 1 if shots >= _POOL_ROW_SHOTS else 0
     survived = []  # per row, the survivors in the finished pieces of the oldest unfinished group
-    try:
-        for (batch, _, pieces), counts in fanout.results(first):
+    with contextlib.closing(fanout.results(helpers)) as results:
+        for (batch, _, pieces), counts in results:
             k = 0  # the piece's first count
             for i, j, start, count in pieces:
                 group_counts = counts[k:k + j - i]
@@ -523,10 +517,6 @@ def run_rows(rows: Iterable[tuple[AnalyzerKind, int, int]], shots: int, master_s
                 if start + count == shots:
                     for (analyzer, n_cycles, _), s in zip(batch[i:j], survived):
                         yield _estimate(analyzer, n_cycles, shots, s)
-    finally:
-        fanout.stop()
-    for helper in helpers:  # each has taken its last unit: it ends at once
-        helper.join()
 
 
 def simulate(analyzer: AnalyzerKind, n_cycles: int, shots: int, master_seed: int, *,

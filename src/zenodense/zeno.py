@@ -33,8 +33,8 @@ from .optics import (
     POLARIZATION_LABELS,
     absorbing_cycles,
     cycle_angle,
-    cycle_counts,
     polarization_rotator,
+    zeno_law,
 )
 
 DISCARDED = "discarded"
@@ -54,10 +54,8 @@ def cycle_survival(n_cycles):
 
 def channel_survival(n_cycles):
     """P^N, the weight N channel cycles keep for every Bell input, over a cycle count or
-    an array of them: libm's pow per element, as every closed form takes its power
-    (np.float_power, no SIMD dispatch), so each element is its N's alone on any CPU."""
-    n = cycle_counts(n_cycles)
-    return np.float_power(cycle_survival(n), n)
+    an array of them: the Zeno law `optics.zeno_law` at weight 1/2 and harmonic 1."""
+    return zeno_law(n_cycles, 0.5, 1.0)
 
 
 def dqz_cycle_operator(branch_index: int, n_cycles: int) -> np.ndarray:

@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import sys
 import threading
 import tracemalloc
@@ -773,11 +776,36 @@ class TestThreadEnv:
         assert err.startswith("zenodense: ") and err.count("\n") == 1
 
 
+WORKFLOW = pathlib.Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def workflow_commands() -> list[list[str]]:
+    """The arguments of every `zenodense` (or `-m zenodense.cli`) command in the CI
+    workflow, found by a text scan: continuations joined, each command cut at the first
+    shell operator, and sample integers put in place of $n and $threads."""
+    commands = []
+    for line in WORKFLOW.read_text().replace("\\\n", " ").splitlines():
+        line = re.sub(r"\$(n|threads)\b", "3", line)
+        for match in re.finditer(r"(?:^|[\s(])zenodense(?:\.cli)?\s+(.*)", line):
+            commands.append(shlex.split(re.split(r"\||&&|;|\d?>|\)", match[1])[0]))
+    return commands
+
+
 class TestParser:
     VALID = [["sweep", "--analyzer=dqz", "--n-min=1", "--n-max=2"],
              ["run", "--analyzer=ifm", "--n=3", "--shots=5"],
              ["compare", "--target-r=1.8"],
              ["selftest"]]
+
+    def test_the_workflow_scan_finds_every_command(self):
+        commands = workflow_commands()
+        assert len(commands) >= 10
+        assert {argv[0] for argv in commands} == {"run", "selftest", "sweep"}
+        assert not any("$" in arg for argv in commands for arg in argv)
+
+    @pytest.mark.parametrize("argv", workflow_commands(), ids=" ".join)
+    def test_every_workflow_command_parses(self, argv):
+        cli._build_parser().parse_args(argv)
 
     def test_one_parser_serves_every_call(self):
         assert cli._build_parser() is cli._build_parser()

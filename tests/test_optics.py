@@ -21,6 +21,7 @@ from zenodense.optics import (
     pbs_route,
     polarization_rotator,
     rotator_pbs_arm_matrix,
+    zeno_law,
 )
 
 
@@ -42,6 +43,7 @@ _H = PureState.basis(POLARIZATION_LABELS, "H")
 # Each public entry point that takes a cycle count, by name.
 _CYCLE_COUNT_CALLS = {
     "cycle_angle": cycle_angle, "cycle_counts": cycle_counts,
+    "zeno_law": lambda n: zeno_law(n, 1.0, 1.0),
     "cycle_survival": zeno.cycle_survival, "channel_survival": zeno.channel_survival,
     "dqz_cycle_operator": lambda n: zeno.dqz_cycle_operator(0, n),
     "dqz_apply": lambda n: zeno.dqz_apply(_PHI, n),

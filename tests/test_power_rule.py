@@ -13,7 +13,7 @@ from zenodense import zeno
 from zenodense.analyzers import qz_ancilla_survival
 from zenodense.ifm import blocked_survival, ifm_evolve
 from zenodense.metrics import MAX_CURVE_CYCLES
-from zenodense.optics import cycle_angle
+from zenodense.optics import cycle_angle, zeno_law
 
 # A log grid up to 10**6, plus N at which numpy's SIMD `**` on an AVX-512
 # host is one ulp off libm's pow for one law or another.
@@ -28,6 +28,9 @@ LAWS = {
     "qz_ancilla_survival": (qz_ancilla_survival,
                             lambda n: (1.0 - 0.75 * np.sin(2.0 * cycle_angle(n)) ** 2, n)),
     "blocked_survival": (blocked_survival, lambda n: (np.cos(cycle_angle(n)), 2 * n)),
+    # The kernel at the blocked law's (c, k) = (1, 1), its form after ROADMAP item 4, step 1.
+    "zeno_law(1, 1)": (lambda n: zeno_law(n, 1.0, 1.0),
+                       lambda n: (1.0 - np.sin(cycle_angle(n)) ** 2, n)),
 }
 
 

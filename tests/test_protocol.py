@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zenodense import protocol
+from zenodense import core, protocol
 from zenodense.analyzers import (
     ANALYZERS,
     AnalyzerKind,
@@ -58,13 +58,15 @@ def reference_run(message, kind, n, seed, shot, m=0):
 
 
 @pytest.fixture
-def draw_sizes(monkeypatch):
-    """The shot count of each draw `run_protocol` makes from here on, from nothing held."""
-    sizes = []
+def draws(monkeypatch):
+    """The (first shot, shot count) of each draw `run_protocol` makes from here on, from
+    nothing held."""
+    made = []
     real = protocol.shot_uniforms
-    monkeypatch.setattr(protocol, "shot_uniforms", lambda *args: sizes.append(args[2]) or real(*args))
+    monkeypatch.setattr(protocol, "shot_uniforms",
+                        lambda *args: made.append(args[1:3]) or real(*args))
     monkeypatch.setattr(protocol, "_window", threading.local())
-    return sizes
+    return made
 
 
 class TestEncode:
@@ -253,31 +255,38 @@ class TestRunProtocol:
             with pytest.raises(ValueError):
                 run_protocol(message, kind, n, master_seed=1, shot_index=shot, m=m)
 
-    def test_an_in_order_walk_draws_one_shot_then_64_and_holds_them(self, draw_sizes):
+    def test_an_in_order_walk_draws_each_block_once_and_holds_it(self, draws, monkeypatch):
+        keys = []
+        real_key = core._key
+        monkeypatch.setattr(core, "_key", lambda *args: keys.append(args) or real_key(*args))
+        core.shot_uniforms(6, 0, 1)  # the thread's Philox stands elsewhere
         walk = [run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=shot)
                 for shot in range(200)]
+        assert draws == [(0, 64), (64, 64), (128, 64), (192, 64)]  # shots 192..255 held
+        assert keys == [(6, 0), (5, 0)]  # the walk keys its Philox once and goes on from there
         assert walk == [reference_run("10", AnalyzerKind.IFM, 12, 5, shot) for shot in range(200)]
-        assert draw_sizes == [1, 64, 64, 64, 64]  # shots 0, 1..64, ..., 193..256: the last held
-        draw_sizes.clear()
+        draws.clear()
         for message in ("uniform", *MESSAGES):  # the held shots serve every message
-            for shot in (200, 193, 256, 199):
+            for shot in (200, 192, 255, 199):
                 assert (run_protocol(message, AnalyzerKind.IFM, 12, master_seed=5, shot_index=shot)
                         == reference_run(message, AnalyzerKind.IFM, 12, 5, shot))
-        assert draw_sizes == []
-        run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=192)
-        assert draw_sizes == [1]
+        assert draws == []
+        run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=191)
+        run_protocol("10", AnalyzerKind.IFM, 12, master_seed=5, shot_index=256)
+        assert draws == [(128, 64), (256, 64)]
 
-    def test_any_other_jump_draws_one_shot(self, draw_sizes):
+    def test_any_other_call_draws_the_block_of_its_shot(self, draws):
         calls = [(6, shot, AnalyzerKind.QZ, 5, 0)
-                 for shot in (*range(40, 0, -1), *range(100, 200, 2), 2**64, 5)]
-        # Another seed or plan, at the held shot or the one after it, is a jump too.
+                 for shot in (*range(40, 0, -1), *range(100, 200, 2), 2**64 + 70, 5)]
+        # Another seed or plan, in the held block, draws the block again.
         calls += [(seed, 300 + k // 3, AnalyzerKind.QZ, 5, 0) for k, seed in enumerate([6, 7, 8] * 5)]
         calls += [(8, 305, AnalyzerKind.QZ, 6, 0), (8, 306, AnalyzerKind.IFM, 6, 0),
                   (8, 306, AnalyzerKind.IFM, 6, 1)]
         for seed, shot, kind, n, m in calls:
             assert (run_protocol("uniform", kind, n, master_seed=seed, shot_index=shot, m=m)
                     == reference_run("uniform", kind, n, seed, shot, m))
-        assert draw_sizes == [1] * len(calls)
+        assert draws == [(0, 64), (64, 64), (128, 64), (192, 64), (2**64 + 64, 64), (0, 64),
+                         *[(256, 64)] * 18]
 
     def test_a_walk_across_the_counter_wrap(self):
         start = 2**256 - 100
